@@ -41,12 +41,9 @@ func main() {
 	)
 	flag.Parse()
 
-	switch *tier {
-	case "":
-		*tier = perfmodel.Tier1Calibrated // the pre-tier default
-	case perfmodel.TierAuto, perfmodel.Tier0Physics, perfmodel.Tier1Calibrated, perfmodel.Tier2Measured:
-	default:
-		fmt.Fprintf(os.Stderr, "csdash: unknown tier %q (valid: %v)\n", *tier, perfmodel.ValidTiers())
+	var err error
+	if *tier, err = perfmodel.ParseTier(*tier); err != nil {
+		fmt.Fprintf(os.Stderr, "csdash: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -80,7 +77,6 @@ func main() {
 	}
 
 	var dom *geometry.Domain
-	var err error
 	switch *geom {
 	case "cylinder":
 		dom, err = geometry.Cylinder(int(8**scale), *scale)

@@ -155,11 +155,8 @@ func (c *Config) Validate() error {
 		if j.DeadlineS < 0 {
 			return fmt.Errorf("campaign: job %q deadline_s %g negative", j.Name, j.DeadlineS)
 		}
-		switch j.Tier {
-		case "", perfmodel.TierAuto, perfmodel.Tier0Physics, perfmodel.Tier1Calibrated, perfmodel.Tier2Measured:
-		default:
-			return fmt.Errorf("campaign: job %q tier %q must be one of %v (or empty for %q)",
-				j.Name, j.Tier, perfmodel.ValidTiers(), perfmodel.Tier1Calibrated)
+		if _, err := perfmodel.ParseTier(j.Tier); err != nil {
+			return fmt.Errorf("campaign: job %q: %w", j.Name, err)
 		}
 	}
 	if c.Fleet != nil {
@@ -168,15 +165,6 @@ func (c *Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// jobTier normalizes a job's accuracy-tier selector: empty keeps the
-// legacy calibrated (Tier 1) planning path.
-func jobTier(j JobConfig) string {
-	if j.Tier == "" {
-		return perfmodel.Tier1Calibrated
-	}
-	return j.Tier
 }
 
 // objective maps the config string to a dashboard objective.
@@ -355,7 +343,11 @@ func runSerial(ctx context.Context, fw *core.Framework, cfg Config) (Summary, er
 			}
 			system = best.System
 		}
-		pred, err := fw.PredictDirectTier(anatomy, system, j.Ranks, jobTier(j))
+		tier, err := perfmodel.ParseTier(j.Tier)
+		if err != nil {
+			return Summary{}, err
+		}
+		pred, err := fw.PredictDirectTier(anatomy, system, j.Ranks, tier)
 		if err != nil {
 			return Summary{}, err
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dashboard"
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/perfmodel"
 )
 
 // FleetConfig declares the fleet execution backend inside a campaign
@@ -239,6 +240,10 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 		}
 		// Model-driven placement: the paper's per-anatomy predictions
 		// priced on every pool system the job fits on.
+		tier, err := perfmodel.ParseTier(j.Tier)
+		if err != nil {
+			return FleetSummary{}, err
+		}
 		for _, abbrev := range poolSystems {
 			sys, err := fw.Provider.System(abbrev)
 			if err != nil {
@@ -247,7 +252,7 @@ func runFleet(ctx context.Context, fw *core.Framework, cfg Config) (FleetSummary
 			if j.Ranks > sys.MaxRanks() {
 				continue
 			}
-			pred, err := fw.PredictDirectTier(anatomy, abbrev, j.Ranks, jobTier(j))
+			pred, err := fw.PredictDirectTier(anatomy, abbrev, j.Ranks, tier)
 			if err != nil {
 				return FleetSummary{}, fmt.Errorf("campaign: predicting %q on %s: %w", j.Name, abbrev, err)
 			}

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/perfmodel"
+	"repro/internal/serve"
 )
 
 // Router is the cluster's HTTP front end. It owns no model state: every
@@ -148,46 +148,18 @@ func (rt *Router) writeError(w http.ResponseWriter, status int, msg string) {
 	rt.writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
-// shardProbe is the lenient view of a planning request body: just the
-// fields that form the calibration identity. Lenient on purpose — the
-// replica owns validation; the router only needs a stable key.
-type shardProbe struct {
-	Workload struct {
-		Geometry string  `json:"geometry"`
-		Scale    float64 `json:"scale"`
-	} `json:"workload"`
-	Systems []string `json:"systems"`
-	Seed    int64    `json:"seed"`
-	Tier    string   `json:"tier"`
-}
-
-// shardKey derives the routing key from a planning request body. For a
-// single-system request it mirrors serve's calibration cache key
-// "system|geometry@scale|seed|tier" exactly (an omitted tier normalizes
-// to the calibrated default, as serve does), so each replica's LRU owns
-// a disjoint key range. Multi-system (or whole-catalog) requests
-// collapse the system part to "*": the workload's catalog-wide
-// calibration set lands on one replica together, which is what lets its
-// plan handler reuse them across the sweep. Undecodable bodies hash as
-// raw bytes — any replica can answer 400.
+// shardKey derives the routing key from a planning request body: serve's
+// own calibration key (serve.CalibrationKey, the one implementation both
+// sides call), so each replica's LRU owns a disjoint key range and
+// multi-system or whole-catalog requests land their catalog-wide
+// calibration set on one replica together, which is what lets its plan
+// handler reuse them across the sweep. Bodies without a key hash as raw
+// bytes — any replica can answer 400.
 func (rt *Router) shardKey(body []byte) string {
-	var p shardProbe
-	if err := json.Unmarshal(body, &p); err != nil || p.Workload.Geometry == "" {
-		return string(body)
+	if key, ok := serve.CalibrationKey(body, rt.cfg.DefaultSeed); ok {
+		return key
 	}
-	system := "*"
-	if len(p.Systems) == 1 {
-		system = p.Systems[0]
-	}
-	seed := p.Seed
-	if seed == 0 {
-		seed = rt.cfg.DefaultSeed
-	}
-	tier := p.Tier
-	if tier == "" {
-		tier = perfmodel.Tier1Calibrated
-	}
-	return fmt.Sprintf("%s|%s@%g|%d|%s", system, p.Workload.Geometry, p.Workload.Scale, seed, tier)
+	return string(body)
 }
 
 // planning returns the sharded forwarding handler for one planning

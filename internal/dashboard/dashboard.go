@@ -17,8 +17,8 @@ import (
 )
 
 // Entry is one characterized instance type in the dashboard. Predictor
-// is its tiered prediction front door; build entries with NewEntry so
-// it is always populated (a zero Predictor falls back to Char).
+// is its tiered prediction front door; build entries with NewEntry, the
+// one place a backend list is composed.
 type Entry struct {
 	System    *machine.System
 	Char      *perfmodel.Characterization
@@ -43,18 +43,12 @@ func NewEntry(sys *machine.System, char *perfmodel.Characterization, tbl *perfmo
 	return Entry{System: sys, Char: char, Predictor: p}, nil
 }
 
-// Predict routes through the entry's tiered predictor, falling back to
-// the bare Tier 1 characterization for entries constructed literally
-// (tests, old callers).
+// Predict routes through the entry's tiered predictor.
 func (e Entry) Predict(req perfmodel.Request) (perfmodel.Prediction, error) {
-	if e.Predictor != nil {
-		return e.Predictor.Predict(req)
+	if e.Predictor == nil {
+		return perfmodel.Prediction{}, fmt.Errorf("dashboard: entry %s has no predictor", e.System.Abbrev)
 	}
-	if e.Char != nil {
-		req.Tier = perfmodel.Tier1Calibrated
-		return e.Char.Predict(req)
-	}
-	return perfmodel.Prediction{}, fmt.Errorf("dashboard: entry %s has no predictor", e.System.Abbrev)
+	return e.Predictor.Predict(req)
 }
 
 // Dashboard holds phase one of the framework: all instance types

@@ -49,6 +49,12 @@ func TestEntryLookup(t *testing.T) {
 	if _, err := d.Entry("nope"); err == nil {
 		t.Error("want error for unknown entry")
 	}
+	// An entry built without NewEntry has no predictor and must say so
+	// rather than fall back to its characterization.
+	e, _ := d.Entry("TRC")
+	if _, err := (Entry{System: e.System, Char: e.Char}).Predict(perfmodel.Request{}); err == nil || !strings.Contains(err.Error(), "no predictor") {
+		t.Errorf("predictor-less entry: error %v, want \"no predictor\"", err)
+	}
 }
 
 func TestAssessProducesAllSystems(t *testing.T) {

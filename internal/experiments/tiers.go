@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/dashboard"
 	"repro/internal/geometry"
 	"repro/internal/lbm"
 	"repro/internal/machine"
@@ -211,18 +212,11 @@ func Tiers(tbl *perfmodel.Table) (Report, *TierBench, error) {
 		if err != nil {
 			return Report{}, nil, err
 		}
-		backends := []perfmodel.Backend{
-			perfmodel.NewPhysicsBackend(sys),
-			perfmodel.NewCalibratedBackend(char),
-		}
-		if tbl != nil {
-			backends = append(backends, perfmodel.NewLookupBackend(sys.Abbrev, tbl))
-		}
-		p, err := perfmodel.NewPredictor(backends...)
+		e, err := dashboard.NewEntry(sys, char, tbl)
 		if err != nil {
 			return Report{}, nil, err
 		}
-		predictors[sys.Abbrev] = p
+		predictors[sys.Abbrev] = e.Predictor
 	}
 
 	series := map[string][]Point{}

@@ -70,44 +70,74 @@ type Request struct {
 	Kernel string
 }
 
-// Predict evaluates the requested model at Tier 1: the fitted
-// microbenchmark models this Characterization holds. It is the one call
-// path behind both the CLI tools and the serving layer's POST
-// /v1/predict; other tiers are reached through a Predictor.
-func (c *Characterization) Predict(req Request) (Prediction, error) {
-	if req.Tier != "" && req.Tier != Tier1Calibrated {
-		if err := checkTier(req.Tier); err != nil {
-			return Prediction{}, err
-		}
-		return Prediction{}, fmt.Errorf("perfmodel: a bare characterization serves tier %q only (requested %q); use a Predictor for other tiers",
-			Tier1Calibrated, req.Tier)
-	}
+// shape is a resolved request: the model it asks for and the lattice
+// size and rank count that model prices.
+type shape struct {
+	model  string
+	points int
+	ranks  int
+}
+
+// resolve is the one reading of a Request every backend shares. It
+// infers the model from the populated input family when Model is empty,
+// checks that the family the model needs is present, that an explicit
+// Ranks agrees with the decomposition, and that terms ride only on the
+// direct model, and returns the resolved shape.
+func resolve(req Request) (shape, error) {
 	model := req.Model
 	if model == "" {
 		switch {
 		case req.Workload != nil && req.Summary != nil:
-			return Prediction{}, fmt.Errorf("perfmodel: request carries both a decomposed workload and a summary; set Model to disambiguate")
+			return shape{}, fmt.Errorf("perfmodel: request carries both a decomposed workload and a summary; set Model to disambiguate")
 		case req.Workload != nil:
 			model = ModelDirect
 		case req.Summary != nil:
 			model = ModelGeneral
 		default:
-			return Prediction{}, fmt.Errorf("perfmodel: request carries neither a decomposed workload nor a workload summary")
+			return shape{}, fmt.Errorf("perfmodel: request carries neither a decomposed workload nor a workload summary")
 		}
 	}
-	var (
-		p   Prediction
-		err error
-	)
 	switch model {
 	case ModelDirect:
 		if req.Workload == nil {
-			return Prediction{}, fmt.Errorf("perfmodel: direct model needs a decomposed workload")
+			return shape{}, fmt.Errorf("perfmodel: direct model needs a decomposed workload")
 		}
 		if req.Ranks != 0 && req.Ranks != len(req.Workload.Tasks) {
-			return Prediction{}, fmt.Errorf("perfmodel: request asks for %d ranks but the workload decomposes into %d tasks",
+			return shape{}, fmt.Errorf("perfmodel: request asks for %d ranks but the workload decomposes into %d tasks",
 				req.Ranks, len(req.Workload.Tasks))
 		}
+		return shape{model: model, points: req.Workload.Points, ranks: len(req.Workload.Tasks)}, nil
+	case ModelGeneral:
+		if req.Summary == nil {
+			return shape{}, fmt.Errorf("perfmodel: generalized model needs a workload summary")
+		}
+		if len(req.Terms) > 0 {
+			return shape{}, fmt.Errorf("perfmodel: terms apply to the direct model only")
+		}
+		return shape{model: model, points: req.Summary.Points, ranks: req.Ranks}, nil
+	}
+	return shape{}, fmt.Errorf("perfmodel: unknown model %q", model)
+}
+
+// Predict evaluates the requested model at Tier 1: the fitted
+// microbenchmark models this Characterization holds. It is the one call
+// path behind both the CLI tools and the serving layer's POST
+// /v1/predict; other tiers are reached through a Predictor.
+func (c *Characterization) Predict(req Request) (Prediction, error) {
+	tier, err := ParseTier(req.Tier)
+	if err != nil {
+		return Prediction{}, err
+	}
+	if tier != Tier1Calibrated {
+		return Prediction{}, fmt.Errorf("perfmodel: a bare characterization serves tier %q only (requested %q); use a Predictor for other tiers",
+			Tier1Calibrated, req.Tier)
+	}
+	sh, err := resolve(req)
+	if err != nil {
+		return Prediction{}, err
+	}
+	var p Prediction
+	if sh.model == ModelDirect {
 		p, err = c.predictDirect(*req.Workload, req.Occupancy)
 		if err == nil && len(req.Terms) > 0 {
 			base := p
@@ -116,21 +146,13 @@ func (c *Characterization) Predict(req Request) (Prediction, error) {
 			}
 			p.MFLUPS = float64(req.Workload.Points) / p.SecondsPerStep / 1e6
 		}
-	case ModelGeneral:
-		if req.Summary == nil {
-			return Prediction{}, fmt.Errorf("perfmodel: generalized model needs a workload summary")
-		}
-		if len(req.Terms) > 0 {
-			return Prediction{}, fmt.Errorf("perfmodel: terms apply to the direct model only")
-		}
+	} else {
 		p, err = c.predictGeneral(*req.Summary, req.General, req.Ranks)
 		if err == nil && req.Ranks > c.TotalCores {
 			// Figure 11 territory: ranks beyond the characterized
 			// instance — the fits are being stretched past their data.
 			p.Extrapolated = true
 		}
-	default:
-		return Prediction{}, fmt.Errorf("perfmodel: unknown model %q", model)
 	}
 	if err != nil {
 		return Prediction{}, err

@@ -170,30 +170,44 @@ func TestPredictValidation(t *testing.T) {
 	}
 	ws := WorkloadSummary{Name: "cyl", Points: s.N(), BytesSerial: s.BytesSerial(lbm.HarveyAccess())}
 
+	// tier0 records where Tier 0's answer legitimately differs: it
+	// refuses all terms, and it ignores Request.Tier (routing by tier is
+	// the Predictor's job), so "" there means it accepts the request.
 	cases := []struct {
-		name string
-		req  Request
-		want string
+		name  string
+		req   Request
+		want  string
+		tier0 string
 	}{
-		{"empty", Request{}, "neither"},
-		{"ambiguous", Request{Workload: &w, Summary: &ws}, "disambiguate"},
-		{"ranks disagree", Request{Workload: &w, Ranks: 99}, "decomposes into"},
-		{"terms on general", Request{Summary: &ws, General: g, Ranks: 8, Terms: []Term{CouplingTerm("coupling", 1)}}, "direct model only"},
-		{"direct without workload", Request{Model: ModelDirect}, "needs a decomposed workload"},
-		{"general without summary", Request{Model: ModelGeneral}, "needs a workload summary"},
-		{"unknown model", Request{Model: "quantum", Workload: &w}, "unknown model"},
-		{"unknown tier", Request{Workload: &w, Tier: "tier9"}, "unknown tier"},
-		{"foreign tier", Request{Workload: &w, Tier: Tier0Physics}, "use a Predictor"},
+		{"empty", Request{}, "neither", "neither"},
+		{"ambiguous", Request{Workload: &w, Summary: &ws}, "disambiguate", "disambiguate"},
+		{"ranks disagree", Request{Workload: &w, Ranks: 99}, "decomposes into", "decomposes into"},
+		{"terms on general", Request{Summary: &ws, General: g, Ranks: 8, Terms: []Term{CouplingTerm("coupling", 1)}}, "direct model only", "calibrated tier only"},
+		{"direct without workload", Request{Model: ModelDirect}, "needs a decomposed workload", "needs a decomposed workload"},
+		{"general without summary", Request{Model: ModelGeneral}, "needs a workload summary", "needs a workload summary"},
+		{"unknown model", Request{Model: "quantum", Workload: &w}, "unknown model", "unknown model"},
+		{"unknown tier", Request{Workload: &w, Tier: "tier9"}, "unknown tier", ""},
+		{"foreign tier", Request{Workload: &w, Tier: Tier0Physics}, "use a Predictor", ""},
+	}
+	check := func(backend, name string, err error, want string) {
+		t.Helper()
+		switch {
+		case want == "" && err != nil:
+			t.Errorf("%s %s: rejected: %v", backend, name, err)
+		case want != "" && err == nil:
+			t.Errorf("%s %s: accepted", backend, name)
+		case want != "" && !strings.Contains(err.Error(), want):
+			t.Errorf("%s %s: error %q missing %q", backend, name, err, want)
+		}
 	}
 	for _, tc := range cases {
 		_, err := c.Predict(tc.req)
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q missing %q", tc.name, err, tc.want)
-		}
+		check("tier1", tc.name, err, tc.want)
+	}
+	physics := NewPhysicsBackend(machine.NewCSP2())
+	for _, tc := range cases {
+		_, err := physics.Predict(tc.req)
+		check("tier0", tc.name, err, tc.tier0)
 	}
 }
 

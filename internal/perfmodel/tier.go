@@ -28,7 +28,7 @@ const (
 
 // ValidTiers lists every accepted Request.Tier value, in fallback order.
 // The empty string is also accepted and means "caller default" — TierAuto
-// on a Predictor, Tier1Calibrated on a bare Characterization.
+// on a Predictor, Tier1Calibrated everywhere else (ParseTier).
 func ValidTiers() []string {
 	return []string{TierAuto, Tier0Physics, Tier1Calibrated, Tier2Measured}
 }
@@ -40,6 +40,21 @@ func checkTier(tier string) error {
 		return nil
 	}
 	return fmt.Errorf("perfmodel: unknown tier %q (valid: %v)", tier, ValidTiers())
+}
+
+// ParseTier validates a caller-supplied tier selector and applies the
+// planning default: empty selects Tier1Calibrated, the pre-tier path,
+// so legacy requests and configs keep their behavior. Every API, config
+// and flag surface normalizes through it; a Predictor's own "" → auto
+// rule is separate.
+func ParseTier(s string) (string, error) {
+	if s == "" {
+		return Tier1Calibrated, nil
+	}
+	if err := checkTier(s); err != nil {
+		return "", fmt.Errorf("%w; empty selects %q", err, Tier1Calibrated)
+	}
+	return s, nil
 }
 
 // DefaultKernel is the kernel name Tier 2 lookups use when a request

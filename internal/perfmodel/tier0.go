@@ -84,40 +84,15 @@ func (b *PhysicsBackend) Predict(req Request) (Prediction, error) {
 	if len(req.Terms) > 0 {
 		return Prediction{}, fmt.Errorf("perfmodel: terms apply to the calibrated tier only")
 	}
-	model := req.Model
-	if model == "" {
-		switch {
-		case req.Workload != nil && req.Summary != nil:
-			return Prediction{}, fmt.Errorf("perfmodel: request carries both a decomposed workload and a summary; set Model to disambiguate")
-		case req.Workload != nil:
-			model = ModelDirect
-		case req.Summary != nil:
-			model = ModelGeneral
-		default:
-			return Prediction{}, fmt.Errorf("perfmodel: request carries neither a decomposed workload nor a workload summary")
-		}
+	sh, err := resolve(req)
+	if err != nil {
+		return Prediction{}, err
 	}
-	var (
-		p   Prediction
-		err error
-	)
-	switch model {
-	case ModelDirect:
-		if req.Workload == nil {
-			return Prediction{}, fmt.Errorf("perfmodel: direct model needs a decomposed workload")
-		}
-		if req.Ranks != 0 && req.Ranks != len(req.Workload.Tasks) {
-			return Prediction{}, fmt.Errorf("perfmodel: request asks for %d ranks but the workload decomposes into %d tasks",
-				req.Ranks, len(req.Workload.Tasks))
-		}
+	var p Prediction
+	if sh.model == ModelDirect {
 		p, err = b.predictDirect(*req.Workload, req.Occupancy)
-	case ModelGeneral:
-		if req.Summary == nil {
-			return Prediction{}, fmt.Errorf("perfmodel: generalized model needs a workload summary")
-		}
+	} else {
 		p, err = b.predictGeneral(*req.Summary, req.Ranks)
-	default:
-		return Prediction{}, fmt.Errorf("perfmodel: unknown model %q", model)
 	}
 	if err != nil {
 		return Prediction{}, err

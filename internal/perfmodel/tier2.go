@@ -268,28 +268,14 @@ func NewLookupBackend(system string, table *Table) *LookupBackend {
 // Tier returns Tier2Measured.
 func (b *LookupBackend) Tier() string { return Tier2Measured }
 
-// requestShape extracts (points, ranks) from either request form.
-func (b *LookupBackend) requestShape(req Request) (points, ranks int, ok bool) {
-	switch {
-	case req.Workload != nil:
-		if req.Ranks != 0 && req.Ranks != len(req.Workload.Tasks) {
-			return 0, 0, false
-		}
-		return req.Workload.Points, len(req.Workload.Tasks), true
-	case req.Summary != nil:
-		return req.Summary.Points, req.Ranks, true
-	}
-	return 0, 0, false
-}
-
 // Covers reports whether the table can serve the request: a measured
 // (system, kernel) group exists, no occupancy sharing, no terms.
 func (b *LookupBackend) Covers(req Request) bool {
 	if b.Table == nil || req.Occupancy > 0 || len(req.Terms) > 0 {
 		return false
 	}
-	points, ranks, ok := b.requestShape(req)
-	if !ok || points <= 0 || ranks <= 0 {
+	sh, err := resolve(req)
+	if err != nil || sh.points <= 0 || sh.ranks <= 0 {
 		return false
 	}
 	return b.Table.Covers(b.Sys, req.Kernel)
@@ -314,11 +300,11 @@ func (b *LookupBackend) Predict(req Request) (Prediction, error) {
 	if len(req.Terms) > 0 {
 		return Prediction{}, fmt.Errorf("perfmodel: terms apply to the calibrated tier only")
 	}
-	points, ranks, ok := b.requestShape(req)
-	if !ok {
-		return Prediction{}, fmt.Errorf("perfmodel: request carries neither a usable workload nor a summary")
+	sh, err := resolve(req)
+	if err != nil {
+		return Prediction{}, err
 	}
-	mflups, dist, extrap, err := b.Table.Lookup(b.Sys, req.Kernel, points, ranks)
+	mflups, dist, extrap, err := b.Table.Lookup(b.Sys, req.Kernel, sh.points, sh.ranks)
 	if err != nil {
 		return Prediction{}, err
 	}
@@ -329,9 +315,9 @@ func (b *LookupBackend) Predict(req Request) (Prediction, error) {
 	p := Prediction{
 		Model:          ModelMeasured,
 		System:         b.Sys,
-		Ranks:          ranks,
+		Ranks:          sh.ranks,
 		MFLUPS:         mflups,
-		SecondsPerStep: float64(points) / (mflups * 1e6),
+		SecondsPerStep: float64(sh.points) / (mflups * 1e6),
 		Tier:           Tier2Measured,
 		TableDistance:  dist,
 		Extrapolated:   extrap,

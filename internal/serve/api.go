@@ -12,17 +12,13 @@ import (
 // /v2 prefix, never a mutation of these shapes.
 
 // WorkloadSpec names a simulation domain in the campaign geometry
-// vocabulary at a lattice scale. Together with a system abbreviation and
-// a calibration seed it forms the calibration cache key, so two requests
-// that agree on these fields share one calibration.
+// vocabulary at a lattice scale. Together with a system abbreviation, a
+// calibration seed and a tier it forms the calibration cache key, so two
+// requests that agree on these fields share one calibration.
 type WorkloadSpec struct {
 	Geometry string  `json:"geometry"`
 	Scale    float64 `json:"scale"`
 }
-
-// key renders the workload component of the cache key. %g keeps it
-// deterministic: equal float64 scales render identically.
-func (w WorkloadSpec) key() string { return fmt.Sprintf("%s@%g", w.Geometry, w.Scale) }
 
 func (w WorkloadSpec) validate() error {
 	if w.Geometry == "" {
@@ -65,7 +61,8 @@ type PredictRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-func (r PredictRequest) validate() error {
+// validate checks the request and normalizes its tier (perfmodel.ParseTier).
+func (r *PredictRequest) validate() error {
 	if err := r.Workload.validate(); err != nil {
 		return err
 	}
@@ -82,24 +79,15 @@ func (r PredictRequest) validate() error {
 	default:
 		return fmt.Errorf("model %q must be %q or %q", r.Model, perfmodel.ModelDirect, perfmodel.ModelGeneral)
 	}
-	if err := validateTier(r.Tier); err != nil {
+	tier, err := perfmodel.ParseTier(r.Tier)
+	if err != nil {
 		return err
 	}
+	r.Tier = tier
 	if r.Occupancy < 0 || r.Occupancy > 1 {
 		return fmt.Errorf("occupancy %g outside [0,1]", r.Occupancy)
 	}
 	return nil
-}
-
-// validateTier rejects unknown tier values up front (→ 400), naming the
-// accepted set. Empty is allowed: it keeps the legacy Tier 1 behavior.
-func validateTier(tier string) error {
-	switch tier {
-	case "", perfmodel.TierAuto, perfmodel.Tier0Physics, perfmodel.Tier1Calibrated, perfmodel.Tier2Measured:
-		return nil
-	}
-	return fmt.Errorf("tier %q must be one of %v (or empty for the default %q)",
-		tier, perfmodel.ValidTiers(), perfmodel.Tier1Calibrated)
 }
 
 // ConfidenceJSON is a prediction's deterministic confidence band.
@@ -194,7 +182,8 @@ type PlanRequest struct {
 	TimeoutMS int64    `json:"timeout_ms,omitempty"`
 }
 
-func (r PlanRequest) validate() error {
+// validate checks the request and normalizes its tier (perfmodel.ParseTier).
+func (r *PlanRequest) validate() error {
 	if err := r.Workload.validate(); err != nil {
 		return err
 	}
@@ -210,7 +199,12 @@ func (r PlanRequest) validate() error {
 	if r.DeadlineS < 0 {
 		return fmt.Errorf("deadline_s %g negative", r.DeadlineS)
 	}
-	return validateTier(r.Tier)
+	tier, err := perfmodel.ParseTier(r.Tier)
+	if err != nil {
+		return err
+	}
+	r.Tier = tier
+	return nil
 }
 
 // AssessmentJSON is one instance type's predicted verdict for the job.

@@ -1,16 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/dashboard"
 	"repro/internal/decomp"
 	"repro/internal/lbm"
-	"repro/internal/machine"
 	"repro/internal/perfmodel"
 	"repro/internal/simcloud"
 )
@@ -25,36 +27,74 @@ import (
 // at different tiers must never share a cache slot.
 type calibKey struct {
 	System   string
-	Workload string // WorkloadSpec.key(): "geometry@scale"
+	Workload WorkloadSpec
 	Seed     int64
-	Tier     string // normalized: never empty
+	Tier     string // normalized by perfmodel.ParseTier: never empty
 }
 
-func (k calibKey) String() string {
-	return fmt.Sprintf("%s|%s|%d|%s", k.System, k.Workload, k.Seed, k.Tier)
-}
-
-// normalizeTier maps the API's empty tier to the pre-tier default, the
-// calibrated Tier 1 path, keeping legacy requests byte-compatible.
-func normalizeTier(tier string) string {
-	if tier == "" {
-		return perfmodel.Tier1Calibrated
+// newCalibKey derives a request's key for one system: an omitted (zero)
+// seed takes defaultSeed. tier must already be normalized.
+func newCalibKey(system string, w WorkloadSpec, seed, defaultSeed int64, tier string) calibKey {
+	if seed == 0 {
+		seed = defaultSeed
 	}
-	return tier
+	return calibKey{System: system, Workload: w, Seed: seed, Tier: tier}
+}
+
+// String renders the key as "system|geometry@scale|seed|tier" — the one
+// key format, shared by the calibration cache and the cluster router's
+// shard ring. %g keeps it deterministic: equal float64 scales render
+// identically.
+func (k calibKey) String() string {
+	return fmt.Sprintf("%s|%s@%g|%d|%s", k.System, k.Workload.Geometry, k.Workload.Scale, k.Seed, k.Tier)
+}
+
+// keyProbe is the lenient view of a /v1/predict or /v1/plan body: just
+// the fields that form the calibration identity.
+type keyProbe struct {
+	Workload WorkloadSpec `json:"workload"`
+	Systems  []string     `json:"systems"`
+	Seed     int64        `json:"seed"`
+	Tier     string       `json:"tier"`
+}
+
+// CalibrationKey derives the calibration key of a raw planning request
+// body, substituting defaultSeed for an omitted seed exactly as a Server
+// configured with that DefaultSeed does. A body naming exactly one
+// system yields that system's cache key; multi-system and whole-catalog
+// bodies use "*" for the system, so a workload's catalog-wide
+// calibration set stays together. The body is decoded the way the
+// handlers decode it — the first JSON value, trailing bytes ignored —
+// so a body a replica serves keys identically on both sides. ok is
+// false when the body has no decodable workload or an invalid tier;
+// a Server rejects such bodies with 400.
+func CalibrationKey(body []byte, defaultSeed int64) (key string, ok bool) {
+	var p keyProbe
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&p); err != nil || p.Workload.Geometry == "" {
+		return "", false
+	}
+	tier, err := perfmodel.ParseTier(p.Tier)
+	if err != nil {
+		return "", false
+	}
+	system := "*"
+	if len(p.Systems) == 1 {
+		system = p.Systems[0]
+	}
+	return newCalibKey(system, p.Workload, p.Seed, defaultSeed, tier).String(), true
 }
 
 // calibration bundles the expensive model state for one cache key:
 // phase one's microbenchmark characterization of the system (Tier 1 and
 // auto only — Tier 0 and 2 never pay for it) and phase two's
 // anatomy-tuned generalized model, plus memoized decompositions for the
-// direct model's rank counts. pred is the tiered front door every
-// prediction routes through; tier is the key's normalized tier, stamped
-// on each Request.
+// direct model's rank counts. entry is the system's dashboard row, whose
+// tiered Predictor every prediction routes through (its Char is nil for
+// tier0/tier2 builds); tier is the key's normalized tier, stamped on
+// each Request.
 type calibration struct {
-	sys     *machine.System
+	entry   dashboard.Entry
 	tier    string
-	pred    *perfmodel.Predictor
-	char    *perfmodel.Characterization // nil for tier0/tier2 builds
 	summary perfmodel.WorkloadSummary
 	general perfmodel.GeneralModel
 	solver  *lbm.Sparse
@@ -78,7 +118,7 @@ func needsCharacterization(tier string) bool {
 // checked between the expensive stages, so a deadline-bound request
 // abandons the build promptly; the stages themselves are
 // uninterruptible.
-func (s *Server) buildCalibration(ctx context.Context, key calibKey, spec WorkloadSpec) (*calibration, error) {
+func (s *Server) buildCalibration(ctx context.Context, key calibKey) (*calibration, error) {
 	sys, err := s.system(key.System)
 	if err != nil {
 		return nil, err
@@ -97,7 +137,7 @@ func (s *Server) buildCalibration(ctx context.Context, key calibKey, spec Worklo
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	dom, err := campaign.BuildGeometry(spec.Geometry, spec.Scale)
+	dom, err := campaign.BuildGeometry(key.Workload.Geometry, key.Workload.Scale)
 	if err != nil {
 		return nil, &apiError{status: 400, msg: err.Error()}
 	}
@@ -116,24 +156,15 @@ func (s *Server) buildCalibration(ctx context.Context, key calibKey, spec Worklo
 			return nil, err
 		}
 	}
-	backends := []perfmodel.Backend{perfmodel.NewPhysicsBackend(sys)}
-	if char != nil {
-		backends = append(backends, perfmodel.NewCalibratedBackend(char))
-	}
-	if s.cfg.Table != nil {
-		backends = append(backends, perfmodel.NewLookupBackend(sys.Abbrev, s.cfg.Table))
-	}
-	pred, err := perfmodel.NewPredictor(backends...)
+	entry, err := dashboard.NewEntry(sys, char, s.cfg.Table)
 	if err != nil {
 		return nil, err
 	}
 	return &calibration{
-		sys:  sys,
-		tier: key.Tier,
-		pred: pred,
-		char: char,
+		entry: entry,
+		tier:  key.Tier,
 		summary: perfmodel.WorkloadSummary{
-			Name:        spec.Geometry,
+			Name:        key.Workload.Geometry,
 			Points:      solver.N(),
 			BytesSerial: solver.BytesSerial(access),
 		},
@@ -145,13 +176,14 @@ func (s *Server) buildCalibration(ctx context.Context, key calibKey, spec Worklo
 }
 
 // calibrationFor resolves the cache key and serves the calibration from
-// the LRU, coalescing concurrent identical builds. tier must already be
-// normalized (never empty) — it qualifies the cache key, so predictions
-// at different tiers never share an entry.
+// the LRU, coalescing concurrent identical builds. seed 0 takes the
+// server default; tier must already be normalized (never empty) — it
+// qualifies the cache key, so predictions at different tiers never
+// share an entry.
 func (s *Server) calibrationFor(ctx context.Context, system string, spec WorkloadSpec, seed int64, tier string) (*calibration, cacheResult, error) {
-	key := calibKey{System: system, Workload: spec.key(), Seed: seed, Tier: tier}
+	key := newCalibKey(system, spec, seed, s.cfg.DefaultSeed, tier)
 	cal, res, err := s.cache.get(ctx, key.String(), func() (*calibration, error) {
-		return s.buildCalibration(ctx, key, spec)
+		return s.buildCalibration(ctx, key)
 	})
 	switch res {
 	case cacheHit:
@@ -192,14 +224,14 @@ func (c *calibration) predict(model string, ranks int, occupancy float64) (perfm
 		if err != nil {
 			return perfmodel.Prediction{}, err
 		}
-		return c.pred.Predict(perfmodel.Request{
+		return c.entry.Predict(perfmodel.Request{
 			Model:     perfmodel.ModelDirect,
 			Workload:  &w,
 			Occupancy: occupancy,
 			Tier:      c.tier,
 		})
 	}
-	return c.pred.Predict(perfmodel.Request{
+	return c.entry.Predict(perfmodel.Request{
 		Model:   perfmodel.ModelGeneral,
 		Summary: &c.summary,
 		General: c.general,

@@ -47,11 +47,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if len(systems) == 0 {
 		systems = s.order
 	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = s.cfg.DefaultSeed
-	}
-	tier := normalizeTier(req.Tier)
 
 	// The generalized model's laws are machine-independent (each
 	// calibration tunes them against the same solver at the same node
@@ -61,7 +56,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	entries := make([]dashboard.Entry, 0, len(systems))
 	var first *calibration
 	for _, name := range systems {
-		cal, _, err := s.calibrationFor(ctx, name, req.Workload, seed, tier)
+		cal, _, err := s.calibrationFor(ctx, name, req.Workload, req.Seed, req.Tier)
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -69,10 +64,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		if first == nil {
 			first = cal
 		}
-		entries = append(entries, dashboard.Entry{System: cal.sys, Char: cal.char, Predictor: cal.pred})
+		entries = append(entries, cal.entry)
 	}
 	d := &dashboard.Dashboard{Entries: entries}
-	as, err := d.AssessTier(first.summary, first.general, req.Ranks, req.Steps, tier)
+	as, err := d.AssessTier(first.summary, first.general, req.Ranks, req.Steps, req.Tier)
 	if err != nil {
 		writeErr(w, err)
 		return

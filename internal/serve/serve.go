@@ -470,19 +470,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if len(systems) == 0 {
 		systems = s.order
 	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = s.cfg.DefaultSeed
-	}
 	model := req.Model
 	if model == "" {
-		model = "generalized"
+		model = perfmodel.ModelGeneral
 	}
-	tier := normalizeTier(req.Tier)
 
 	resp := PredictResponse{Predictions: make([]PredictionJSON, 0, len(systems)*len(req.Ranks))}
 	for _, sysName := range systems {
-		cal, res, err := s.calibrationFor(ctx, sysName, req.Workload, seed, tier)
+		cal, res, err := s.calibrationFor(ctx, sysName, req.Workload, req.Seed, req.Tier)
 		if err != nil {
 			writeErr(w, err)
 			return
