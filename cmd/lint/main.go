@@ -1,11 +1,12 @@
 // Command lint runs the repository's static-analysis suite
 // (internal/analyzers) over one or more package patterns and fails on
 // findings that are neither suppressed in-source nor grandfathered in
-// the baseline file. The suite has four layers — syntactic checks
-// built on go/ast, semantic checks built on go/types, interprocedural
-// checks built on a call graph over the typed packages, and
-// flow-sensitive checks built on per-function control-flow graphs —
-// and all four run by default.
+// the baseline file. All sixteen checks run by default. Each check
+// reads one scope — the syntax of one file, one type-checked file, one
+// function with its control-flow graph, or the whole surface with its
+// call graph — and one run parses each file once and pays for type
+// checking, the call graph and the CFGs only when a selected check
+// needs them.
 //
 // Usage:
 //
@@ -22,11 +23,12 @@
 //	-format text|json|github   output format; github emits ::error
 //	                           workflow annotations for inline PR review
 //	-json                      shorthand for -format=json
-//	-timing                    print per-check wall time and layer
-//	                           totals after the run
+//	-timing                    print per-check wall time and the
+//	                           shared setup stages (parse, typecheck,
+//	                           callgraph, cfg) after the run
 //	-perfbudget                run the compiler-diagnostics perf budget
 //	                           over the //lint:hot packages instead of
-//	                           the lint layers
+//	                           the lint checks
 //	-write-perfbudget          regenerate the committed perf budgets
 //	                           from current compiler output and exit 0
 //	-perfbudget-dir DIR        budget directory (default
@@ -34,7 +36,7 @@
 //	-tables                    validate the committed Tier 2 lookup
 //	                           tables (CSV schema, positive numerics,
 //	                           sorted unique keys) instead of the lint
-//	                           layers; patterns are CSV paths (default
+//	                           checks; patterns are CSV paths (default
 //	                           internal/perfmodel/tables/*.csv)
 //	-list                      list available checks and exit
 //
@@ -73,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pruneBaseline = fs.Bool("prune-baseline", false, "drop stale baseline entries and rewrite the baseline")
 		formatFlag    = fs.String("format", "text", "output format: text, json or github")
 		jsonFlag      = fs.Bool("json", false, "emit findings as JSON (same as -format=json)")
-		timingFlag    = fs.Bool("timing", false, "print per-check wall time and layer totals")
+		timingFlag    = fs.Bool("timing", false, "print per-check wall time and setup stage totals")
 		perfBudget    = fs.Bool("perfbudget", false, "diff compiler escape/bounds diagnostics of hot packages against committed budgets")
 		writeBudget   = fs.Bool("write-perfbudget", false, "regenerate the committed perf budgets and exit")
 		budgetDir     = fs.String("perfbudget-dir", "internal/analyzers/testdata/perfbudget", "perf budget directory")
@@ -96,15 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *listFlag {
 		for _, c := range analyzers.All() {
-			fmt.Fprintf(stdout, "%-12s %s\n", c.ID, c.Doc)
-		}
-		for _, c := range analyzers.AllTyped() {
-			fmt.Fprintf(stdout, "%-12s %s\n", c.ID, c.Doc)
-		}
-		for _, c := range analyzers.AllInter() {
-			fmt.Fprintf(stdout, "%-12s %s\n", c.ID, c.Doc)
-		}
-		for _, c := range analyzers.AllFlow() {
 			fmt.Fprintf(stdout, "%-13s %s\n", c.ID, c.Doc)
 		}
 		return 0
@@ -124,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
-	sel, err := analyzers.SelectAll(ids)
+	checks, err := analyzers.Select(ids)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -135,12 +128,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timings = analyzers.CollectTimings()
 		defer analyzers.StopTimings()
 	}
-	res, err := analyzers.RunLayers(fs.Args(), sel)
+	res, err := analyzers.Run(fs.Args(), checks)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	analyzers.Sort(res.Diags)
 	if timings != nil {
 		printTimings(stdout, timings)
 	}
@@ -322,7 +314,7 @@ func runPerfBudget(patterns []string, dir string, write bool, stdout, stderr io.
 	return 0
 }
 
-// printTimings renders the per-layer and per-check wall times of one
+// printTimings renders the setup-stage and per-check wall times of one
 // run, slowest first.
 func printTimings(w io.Writer, t *analyzers.Timings) {
 	type row struct {
@@ -344,7 +336,7 @@ func printTimings(w io.Writer, t *analyzers.Timings) {
 			fmt.Fprintf(w, "lint: timing %s %-13s %12s\n", kind, r.name, r.d.Round(time.Microsecond))
 		}
 	}
-	render("layer", t.Layers())
+	render("stage", t.Stages())
 	render("check", t.Checks())
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // gorleakFixture is a directory with exactly two known findings.
-var gorleakFixture = filepath.Join("..", "..", "internal", "analyzers", "testdata", "gorleak")
+var gorleakFixture = filepath.Join("..", "..", "internal", "analyzers", "testdata", "gorleak", "dirty")
 
 func runLint(args ...string) (code int, stdout, stderr string) {
 	var out, errb bytes.Buffer
@@ -25,13 +25,23 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("exit %d, want 0", code)
 	}
 	for _, id := range []string{
-		"nodeterm", "unitsuffix", "floateq", "droppederr", "lockbalance", "gorleak",
+		"nodeterm", "unitsuffix", "floateq", "droppederr", "lockbalance", "gorleak", "spanend",
 		"unitflow", "typeassert", "lossyconv",
 		"ctxflow", "lockheld", "detertaint",
 		"hotpath", "nilerr", "useafterfinal",
 	} {
 		if !strings.Contains(out, id) {
 			t.Errorf("-list output missing %q", id)
+		}
+	}
+	// One table: a line per check, sorted by ID.
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 16 {
+		t.Fatalf("-list printed %d lines, want 16:\n%s", len(lines), out)
+	}
+	for i := 1; i < len(lines); i++ {
+		if lines[i-1] >= lines[i] {
+			t.Errorf("-list not sorted: %q before %q", lines[i-1], lines[i])
 		}
 	}
 }
@@ -118,6 +128,19 @@ func TestTypedCheckSelection(t *testing.T) {
 	}
 }
 
+// TestBadIgnoreUnderAnySelection pins that a malformed //lint:ignore is
+// reported whichever checks run, not only when a syntactic one does.
+func TestBadIgnoreUnderAnySelection(t *testing.T) {
+	fixture := filepath.Join("..", "..", "internal", "analyzers", "testdata", "suppress")
+	code, out, _ := runLint("-checks", "typeassert", fixture)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; output:\n%s", code, out)
+	}
+	if !strings.Contains(out, "[badignore]") || !strings.Contains(out, "1 finding(s)") {
+		t.Errorf("want exactly the badignore finding:\n%s", out)
+	}
+}
+
 func TestWriteBaselineThenClean(t *testing.T) {
 	baseline := filepath.Join(t.TempDir(), "baseline.json")
 	code, _, errOut := runLint("-checks", "gorleak", "-write-baseline", "-baseline", baseline, gorleakFixture)
@@ -138,8 +161,12 @@ func TestTimingFlag(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (fixture has findings)", code)
 	}
-	if !strings.Contains(out, "lint: timing layer syntactic") {
-		t.Errorf("missing syntactic layer timing line:\n%s", out)
+	if !strings.Contains(out, "lint: timing stage parse") {
+		t.Errorf("missing parse stage timing line:\n%s", out)
+	}
+	// A syntactic check needs no types, so the run must not type-check.
+	if strings.Contains(out, "lint: timing stage typecheck") {
+		t.Errorf("syntactic-only run type-checked:\n%s", out)
 	}
 	if !strings.Contains(out, "lint: timing check gorleak") {
 		t.Errorf("missing per-check timing line:\n%s", out)

@@ -6,11 +6,11 @@
 // joined goroutines — as machine-checked rules instead of convention.
 //
 // The suite is stdlib-only so the module stays buildable offline with
-// no external dependencies, and has two layers: syntactic checks built
-// directly on go/ast, go/parser and go/token (Check, Run), and semantic
-// checks built on go/types (TypedCheck, RunTyped) fed by a loader that
-// type-checks the module from source. Every check in either layer
-// supports targeted suppression via
+// no external dependencies. Every analyzer is a Check, and Run is its
+// one runner: it parses each file once, type-checks the packages from
+// source only when a selected check needs types, and builds the call
+// graph and the per-function CFGs only for the checks that read them.
+// Every check supports targeted suppression via
 //
 //	//lint:ignore <check> <reason>
 //
@@ -50,11 +50,11 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Check, d.Message)
 }
 
-// File is the per-file analysis context handed to each check.
+// File is the syntactic context of one source file.
 type File struct {
 	Fset *token.FileSet
 	AST  *ast.File
-	Path string // path as walked, used verbatim in diagnostics
+	Path string // the loader's rendering of the file's path, used verbatim in diagnostics
 	Pkg  string // package name
 
 	// Siblings exposes the other files of the same package so checks
@@ -63,11 +63,12 @@ type File struct {
 	Siblings []*ast.File
 }
 
-// diag builds a Diagnostic at the given position.
-func (f *File) diag(pos token.Pos, check string, sev Severity, format string, args ...any) Diagnostic {
-	p := f.Fset.Position(pos)
+// diag builds a Diagnostic at a position, attributed to the file
+// containing it. Every check reports through it.
+func diag(fset *token.FileSet, pos token.Pos, check string, sev Severity, format string, args ...any) Diagnostic {
+	p := fset.Position(pos)
 	return Diagnostic{
-		File:     f.Path,
+		File:     p.Filename,
 		Line:     p.Line,
 		Col:      p.Column,
 		Check:    check,
@@ -77,24 +78,40 @@ func (f *File) diag(pos token.Pos, check string, sev Severity, format string, ar
 }
 
 // Check is one analyzer: an ID used in -checks selection, suppression
-// comments and baseline entries, a one-line doc string, and the run
-// function producing diagnostics for a single file.
+// comments and baseline entries, a one-line doc string, and exactly one
+// run function. Which one is set fixes the check's scope, and with it
+// the setup Run pays for: a parse for OnFile, a type-check for the
+// rest, a CFG per function for OnFunc, and the call graph for
+// OnSurface.
 type Check struct {
 	ID  string
 	Doc string
-	Run func(f *File) []Diagnostic
+
+	OnFile      func(f *File) []Diagnostic          // the AST of one file
+	OnTypedFile func(f *TypedFile) []Diagnostic     // one type-checked file
+	OnFunc      func(fn *FlowFunc) []Diagnostic     // one function and its CFG
+	OnSurface   func(ic *InterContext) []Diagnostic // every loaded package and the call graph
 }
 
 // All returns every registered check, sorted by ID.
 func All() []Check {
 	cs := []Check{
+		checkCtxFlow(),
+		checkDeterTaint(),
 		checkDroppedErr(),
 		checkFloatEq(),
 		checkGorLeak(),
+		checkHotPath(),
 		checkLockBalance(),
+		checkLockHeld(),
+		checkLossyConv(),
+		checkNilErr(),
 		checkNoDeterm(),
 		checkSpanEnd(),
+		checkTypeAssert(),
+		checkUnitFlow(),
 		checkUnitSuffix(),
+		checkUseAfterFinal(),
 	}
 	sort.Slice(cs, func(i, j int) bool { return cs[i].ID < cs[j].ID })
 	return cs
@@ -121,10 +138,6 @@ func Select(ids []string) ([]Check, error) {
 	}
 	return out, nil
 }
-
-// Sort orders diagnostics for stable output (file, line, col, check).
-// The driver uses it after merging the syntactic and typed runs.
-func Sort(ds []Diagnostic) { sortDiags(ds) }
 
 // sortDiags orders diagnostics for stable output: file, line, col,
 // check.

@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// This file is the foundation of the suite's third, interprocedural
-// layer: a call graph over the typed packages the loader produced.
+// This file is the foundation of the whole-surface (interprocedural)
+// checks: a call graph over the typed packages the loader produced.
 // Resolution is conservative and static — it never claims an edge it
 // cannot prove, and it resolves dynamic dispatch to every candidate it
 // can see:

@@ -5,8 +5,8 @@ import (
 	"go/token"
 )
 
-// This file is the foundation of the fourth (flow-sensitive) layer: a
-// per-function control-flow graph over go/ast. Each function body is
+// This file is the foundation of the per-function (flow-sensitive)
+// checks: a control-flow graph over go/ast. Each function body is
 // split into basic blocks — maximal straight-line statement runs — with
 // explicit edges for if/for/range/switch/select, labeled break and
 // continue, goto, and the terminating calls (return, panic, os.Exit,

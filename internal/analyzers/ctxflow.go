@@ -31,13 +31,13 @@ import (
 // parameters and r.Context() results seed the derived set, and any
 // variable assigned from an expression mentioning a derived value
 // joins it (context.WithTimeout(ctx, ...), sub-contexts, renames).
-func checkCtxFlow() InterCheck {
+func checkCtxFlow() Check {
 	const id = "ctxflow"
-	return InterCheck{
+	return Check{
 		ID: id,
 		Doc: "request contexts must thread end-to-end: no Background()/TODO() below a ctx, " +
 			"no ctx-blind blocking loops, ctx passed to every ctx-accepting callee",
-		Run: func(ic *InterContext) []Diagnostic {
+		OnSurface: func(ic *InterContext) []Diagnostic {
 			var diags []Diagnostic
 			for _, n := range ic.Graph.Nodes() {
 				if n.External() || !ic.onSurface(n.posOf()) {
@@ -91,7 +91,7 @@ func contextRootCalls(n *CallNode, fn func(call *ast.CallExpr, which string)) {
 func ctxRootFindings(ic *InterContext, id string, n *CallNode) []Diagnostic {
 	var diags []Diagnostic
 	contextRootCalls(n, func(call *ast.CallExpr, which string) {
-		diags = append(diags, ic.diagAt(call.Pos(), id, SeverityError,
+		diags = append(diags, diag(ic.fset, call.Pos(), id, SeverityError,
 			"%s in %s, which already carries a context; derive from it so cancellation reaches this path",
 			which, n.Name()))
 	})
@@ -117,7 +117,7 @@ func ctxCallerFindings(ic *InterContext, id string, n *CallNode) []Diagnostic {
 	}
 	var diags []Diagnostic
 	contextRootCalls(n, func(call *ast.CallExpr, which string) {
-		diags = append(diags, ic.diagAt(call.Pos(), id, SeverityError,
+		diags = append(diags, diag(ic.fset, call.Pos(), id, SeverityError,
 			"%s in %s, but every caller (%d) carries a context; accept a ctx parameter instead of cutting the chain",
 			which, n.Name(), len(callers)))
 	})
@@ -189,7 +189,7 @@ func loopChanFindings(ic *InterContext, id string, n *CallNode, body *ast.BlockS
 				return false // separate frame
 			case *ast.SelectStmt:
 				if !selectHasDoneOrDefault(node) {
-					diags = append(diags, ic.diagAt(node.Pos(), id, SeverityError,
+					diags = append(diags, diag(ic.fset, node.Pos(), id, SeverityError,
 						"select in a loop of %s has no ctx.Done() case and no default; cancellation cannot break the loop",
 						n.Name()))
 				}
@@ -203,13 +203,13 @@ func loopChanFindings(ic *InterContext, id string, n *CallNode, body *ast.BlockS
 				return false
 			case *ast.SendStmt:
 				if !insideSelect {
-					diags = append(diags, ic.diagAt(node.Pos(), id, SeverityError,
+					diags = append(diags, diag(ic.fset, node.Pos(), id, SeverityError,
 						"blocking channel send in a loop of %s with no ctx.Done() escape; wrap in a select with ctx.Done()",
 						n.Name()))
 				}
 			case *ast.UnaryExpr:
 				if node.Op.String() == "<-" && !insideSelect && isChanRecv(n, node) {
-					diags = append(diags, ic.diagAt(node.Pos(), id, SeverityError,
+					diags = append(diags, diag(ic.fset, node.Pos(), id, SeverityError,
 						"blocking channel receive in a loop of %s with no ctx.Done() escape; wrap in a select with ctx.Done()",
 						n.Name()))
 				}
@@ -292,7 +292,7 @@ func ctxThreadFindings(ic *InterContext, id string, n *CallNode) []Diagnostic {
 		if argsContainFreshRoot(n, e.Site) {
 			continue // rule 1 already flags the Background()/TODO() argument
 		}
-		diags = append(diags, ic.diagAt(e.Site.Pos(), id, SeverityError,
+		diags = append(diags, diag(ic.fset, e.Site.Pos(), id, SeverityError,
 			"%s calls %s without threading its ctx (the callee accepts a context.Context); cancellation will not propagate",
 			n.Name(), e.Callee.Name()))
 	}

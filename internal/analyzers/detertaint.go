@@ -34,13 +34,13 @@ import (
 // from a source taints its callers' results; a function whose
 // parameter reaches a sink turns its call sites into sinks at that
 // position.
-func checkDeterTaint() InterCheck {
+func checkDeterTaint() Check {
 	const id = "detertaint"
-	return InterCheck{
+	return Check{
 		ID: id,
 		Doc: "nondeterminism (wall clock, global math/rand, map range order) must not flow into " +
 			"deterministic sinks (seeds, ring placement keys)",
-		Run: func(ic *InterContext) []Diagnostic {
+		OnSurface: func(ic *InterContext) []Diagnostic {
 			c := &deterTaintCheck{ic: ic, id: id, memo: map[*CallNode]*taintSummary{}}
 			for _, n := range ic.Graph.Nodes() {
 				if n.External() || !ic.onSurface(n.posOf()) {
@@ -409,7 +409,7 @@ func (c *deterTaintCheck) checkCallSinks(st *taintState, call *ast.CallExpr, sum
 			}
 			arg := call.Args[i]
 			if why, ok := st.taintedExpr(arg); ok {
-				c.diags = append(c.diags, c.ic.diagAt(arg.Pos(), c.id, SeverityError,
+				c.diags = append(c.diags, diag(c.ic.fset, arg.Pos(), c.id, SeverityError,
 					"%s flows into the %s argument of %s in %s; deterministic outputs require a deterministic input here",
 					why, label, e.Callee.Name(), st.n.Name()))
 			} else if j, ok := st.paramIndex(arg); ok {
@@ -433,7 +433,7 @@ func (c *deterTaintCheck) checkFieldSinks(st *taintState, as *ast.AssignStmt, su
 			continue
 		}
 		if why, ok := st.taintedExpr(as.Rhs[i]); ok {
-			c.diags = append(c.diags, c.ic.diagAt(as.Rhs[i].Pos(), c.id, SeverityError,
+			c.diags = append(c.diags, diag(c.ic.fset, as.Rhs[i].Pos(), c.id, SeverityError,
 				"%s written to seed field %s in %s; seeds must be deterministic",
 				why, exprString(sel), st.n.Name()))
 		} else if j, ok := st.paramIndex(as.Rhs[i]); ok {
@@ -455,7 +455,7 @@ func (c *deterTaintCheck) checkLiteralSinks(st *taintState, lit *ast.CompositeLi
 			continue
 		}
 		if why, ok := st.taintedExpr(kv.Value); ok {
-			c.diags = append(c.diags, c.ic.diagAt(kv.Value.Pos(), c.id, SeverityError,
+			c.diags = append(c.diags, diag(c.ic.fset, kv.Value.Pos(), c.id, SeverityError,
 				"%s initializes seed field %s in %s; seeds must be deterministic",
 				why, key.Name, st.n.Name()))
 		} else if j, ok := st.paramIndex(kv.Value); ok {

@@ -33,7 +33,7 @@ func checkDroppedErr() Check {
 	return Check{
 		ID:  id,
 		Doc: "no silently discarded error returns (handle it or //lint:ignore droppederr <reason>)",
-		Run: func(f *File) []Diagnostic {
+		OnFile: func(f *File) []Diagnostic {
 			var diags []Diagnostic
 			returnsErr := packageErrorFuncs(f.Siblings)
 
@@ -54,10 +54,10 @@ func checkDroppedErr() Check {
 					// the conservative always-error name list.
 					switch {
 					case recv == "" && returnsErr[name]:
-						diags = append(diags, f.diag(call.Pos(), id, SeverityError,
+						diags = append(diags, diag(f.Fset, call.Pos(), id, SeverityError,
 							"error return of %s ignored", name))
 					case recv != "" && (name == "Close" || name == "Flush" || name == "Sync"):
-						diags = append(diags, f.diag(call.Pos(), id, SeverityError,
+						diags = append(diags, diag(f.Fset, call.Pos(), id, SeverityError,
 							"error return of %s ignored", callLabel(recv, name)))
 					}
 				}
@@ -78,7 +78,7 @@ func dropsInAssign(f *File, id string, n *ast.AssignStmt, returnsErr map[string]
 	if len(n.Lhs) == 1 && len(n.Rhs) == 1 && isBlank(n.Lhs[0]) {
 		if call, ok := n.Rhs[0].(*ast.CallExpr); ok {
 			recv, name := calleeOf(call)
-			diags = append(diags, f.diag(n.Pos(), id, SeverityError,
+			diags = append(diags, diag(f.Fset, n.Pos(), id, SeverityError,
 				"result of %s discarded with _ =; handle it or suppress with a reason", callLabel(recv, name)))
 		}
 		return diags
@@ -93,7 +93,7 @@ func dropsInAssign(f *File, id string, n *ast.AssignStmt, returnsErr map[string]
 		recv, name := calleeOf(call)
 		errKnown, resolved := returnsErr[name]
 		if (resolved && errKnown) || (!resolved && errorProneCallees[name]) {
-			diags = append(diags, f.diag(n.Pos(), id, SeverityError,
+			diags = append(diags, diag(f.Fset, n.Pos(), id, SeverityError,
 				"error result of %s discarded with a blank identifier", callLabel(recv, name)))
 		}
 	}

@@ -35,7 +35,7 @@ func checkFloatEq() Check {
 	return Check{
 		ID:  id,
 		Doc: "no ==/!= on floating-point operands (use an epsilon or suppress with a reason)",
-		Run: func(f *File) []Diagnostic {
+		OnFile: func(f *File) []Diagnostic {
 			var diags []Diagnostic
 			funcDecls(f.AST, func(name string, ftype *ast.FuncType, body *ast.BlockStmt) {
 				floats := floatIdents(ftype, body)
@@ -45,7 +45,7 @@ func checkFloatEq() Check {
 						return true
 					}
 					if isFloatExpr(be.X, floats) || isFloatExpr(be.Y, floats) {
-						diags = append(diags, f.diag(be.OpPos, id, SeverityError,
+						diags = append(diags, diag(f.Fset, be.OpPos, id, SeverityError,
 							"%s on float operands (%s %s %s); compare with a tolerance",
 							be.Op, exprString(be.X), be.Op, exprString(be.Y)))
 					}

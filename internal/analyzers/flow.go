@@ -3,16 +3,12 @@ package analyzers
 import (
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
 
-// This file registers the fourth layer: flow-sensitive checks that run
-// per function over its control-flow graph. A FlowCheck sees one
+// This file is the per-function scope: an OnFunc check sees one
 // function at a time — declaration or literal — with type information,
-// the CFG, and the hot-path annotation state resolved; the runner
-// shares the typed load with the typed and interprocedural layers
-// through RunLayers, so adding the layer costs no extra parse.
+// the CFG, and the hot-path annotation state resolved.
 
 // HotDirective is the comment directive marking hot-path code:
 // `//lint:hot` above the package clause marks every function in the
@@ -48,25 +44,6 @@ func funcDeclName(d *ast.FuncDecl) string {
 	}
 	recv := d.Recv.List[0].Type
 	return "(" + exprString(recv) + ")." + d.Name.Name
-}
-
-// FlowCheck is a flow-sensitive analyzer: one run per function body
-// over its CFG.
-type FlowCheck struct {
-	ID  string
-	Doc string
-	Run func(fn *FlowFunc) []Diagnostic
-}
-
-// AllFlow returns every registered flow-sensitive check, sorted by ID.
-func AllFlow() []FlowCheck {
-	cs := []FlowCheck{
-		checkHotPath(),
-		checkNilErr(),
-		checkUseAfterFinal(),
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].ID < cs[j].ID })
-	return cs
 }
 
 // hotMarks is the resolved //lint:hot annotation state of one file.
@@ -151,52 +128,6 @@ func flowFuncsOf(f *TypedFile) []*FlowFunc {
 		}
 	}
 	return fns
-}
-
-// RunFlow is Run for flow-sensitive checks: load the matched packages
-// and analyze every function, honoring //lint:ignore directives.
-func RunFlow(patterns []string, checks []FlowCheck) (Result, error) {
-	pkgs, err := Load(patterns)
-	if err != nil {
-		return Result{}, err
-	}
-	return runFlowOver(pkgs, checks), nil
-}
-
-// runFlowOver executes the flow-sensitive checks over an
-// already-loaded surface.
-func runFlowOver(pkgs []*TypedPackage, checks []FlowCheck) Result {
-	var res Result
-	files := map[string]*TypedFile{}
-	var diags []Diagnostic
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			files[f.Path] = f
-			res.Files++
-			for _, fn := range flowFuncsOf(f) {
-				for _, c := range checks {
-					c, fn := c, fn
-					timeCheck(c.ID, func() { diags = append(diags, c.Run(fn)...) })
-				}
-			}
-		}
-	}
-	res.Diags = applyFileSuppressions(diags, files)
-	sortDiags(res.Diags)
-	return res
-}
-
-// diagNode builds a Diagnostic at a node of the analyzed file.
-func (fn *FlowFunc) diagNode(n ast.Node, check string, sev Severity, msg string) Diagnostic {
-	p := fn.File.Fset.Position(n.Pos())
-	return Diagnostic{
-		File:     p.Filename,
-		Line:     p.Line,
-		Col:      p.Column,
-		Check:    check,
-		Message:  msg,
-		Severity: sev,
-	}
 }
 
 // inspectOwn walks a node but does not descend into function literals:

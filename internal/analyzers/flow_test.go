@@ -4,122 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"path/filepath"
-	"strings"
 	"testing"
 )
-
-// runFlowOn runs a single flow-sensitive check (by ID) over one
-// fixture directory, suppression applied.
-func runFlowOn(t *testing.T, checkID, dir string) []Diagnostic {
-	t.Helper()
-	sel, err := SelectAll([]string{checkID})
-	if err != nil {
-		t.Fatalf("SelectAll(%s): %v", checkID, err)
-	}
-	if len(sel.Flow) != 1 {
-		t.Fatalf("SelectAll(%s): want 1 flow check, got %d", checkID, len(sel.Flow))
-	}
-	pkgs, err := Load([]string{dir})
-	if err != nil {
-		t.Fatalf("Load(%s): %v", dir, err)
-	}
-	return runFlowOver(pkgs, sel.Flow).Diags
-}
-
-func TestFlowGoldenDirtyFixtures(t *testing.T) {
-	type want struct {
-		line   int
-		substr string
-	}
-	cases := []struct {
-		check string
-		want  []want
-	}{
-		{check: "nilerr", want: []want{
-			{30, "f is used here, but err is non-nil on this path"},
-			{39, "error err is overwritten here before the previous value (line 38) was read"},
-			{47, "error err is overwritten here before the previous value (line 46) was read"},
-			{54, "error err is assigned here but never read before return"},
-		}},
-		{check: "useafterfinal", want: []want{
-			{22, "c.Send called on a path where c.Close already ran (line 21)"},
-			{31, "c.Send called on a path where c.Close already ran (line 29)"},
-			// The loop case: Close on line 39 reaches the Send on line 38
-			// through the back edge.
-			{38, "c.Send called on a path where c.Close already ran (line 39)"},
-		}},
-		{check: "hotpath", want: []want{
-			{13, "defer inside a hot loop"},
-			{21, "map allocated inside a hot loop"},
-			{32, "map literal allocated inside a hot loop"},
-			{42, "append to s (declared without capacity) inside a hot loop"},
-			{51, "closure capturing total inside a hot loop"},
-			{60, "argument i boxes into interface interface{} inside a hot loop"},
-			// filehot.go sorts after dirty.go: the file-level directive
-			// marks a function with no mark of its own.
-			{9, "defer inside a hot loop"},
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.check, func(t *testing.T) {
-			dir := filepath.Join("testdata", tc.check, "dirty")
-			got := runFlowOn(t, tc.check, dir)
-			if len(got) != len(tc.want) {
-				t.Fatalf("%s: got %d finding(s), want %d:\n%s",
-					dir, len(got), len(tc.want), renderDiags(got))
-			}
-			for i, w := range tc.want {
-				d := got[i]
-				if d.Line != w.line || d.Check != tc.check {
-					t.Errorf("finding %d: got %s:%d [%s], want line %d [%s]",
-						i, d.File, d.Line, d.Check, w.line, tc.check)
-				}
-				if !strings.Contains(d.Message, w.substr) {
-					t.Errorf("finding %d: message %q does not contain %q", i, d.Message, w.substr)
-				}
-				if d.Severity != SeverityError {
-					t.Errorf("finding %d: severity %q, want %q", i, d.Severity, SeverityError)
-				}
-			}
-		})
-	}
-}
-
-func TestFlowGoldenCleanFixtures(t *testing.T) {
-	for _, check := range []string{"nilerr", "useafterfinal", "hotpath"} {
-		t.Run(check, func(t *testing.T) {
-			// Clean fixtures must survive all four layers in full: a
-			// clean idiom that trips a neighboring check is still a
-			// false positive.
-			dir := filepath.Join("testdata", check, "clean")
-			sel, err := SelectAll(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := RunLayers([]string{dir}, sel)
-			if err != nil {
-				t.Fatalf("RunLayers(%s): %v", dir, err)
-			}
-			if len(res.Diags) != 0 {
-				t.Fatalf("full suite: want no findings, got:\n%s", renderDiags(res.Diags))
-			}
-		})
-	}
-}
-
-// TestFlowSuppression pins //lint:ignore handling for flow-sensitive
-// checks: the directive above a finding's line silences it.
-func TestFlowSuppression(t *testing.T) {
-	for _, check := range []string{"nilerr", "useafterfinal", "hotpath"} {
-		t.Run(check, func(t *testing.T) {
-			dir := filepath.Join("testdata", check, "suppressed")
-			if got := runFlowOn(t, check, dir); len(got) != 0 {
-				t.Fatalf("want suppressed, got:\n%s", renderDiags(got))
-			}
-		})
-	}
-}
 
 // TestHotMarks pins the //lint:hot directive's resolution rules:
 // file-level above the package clause, function-level on the line

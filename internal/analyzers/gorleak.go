@@ -23,7 +23,7 @@ func checkGorLeak() Check {
 	return Check{
 		ID:  id,
 		Doc: "goroutines must be joined by the launching function (WaitGroup or channel)",
-		Run: func(f *File) []Diagnostic {
+		OnFile: func(f *File) []Diagnostic {
 			var diags []Diagnostic
 			funcBodies(f.AST, func(name string, ftype *ast.FuncType, body *ast.BlockStmt) {
 				var gos []*ast.GoStmt
@@ -44,7 +44,7 @@ func checkGorLeak() Check {
 					return
 				}
 				for _, g := range gos {
-					diags = append(diags, f.diag(g.Pos(), id, SeverityError,
+					diags = append(diags, diag(f.Fset, g.Pos(), id, SeverityError,
 						"goroutine launched in %s with no visible join (WaitGroup or channel) in the enclosing function",
 						name))
 				}

@@ -1,7 +1,6 @@
 package analyzers
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 )
@@ -15,13 +14,13 @@ import (
 // boxing at call sites. Loop membership comes from the CFG's cycles,
 // so goto-formed loops count.
 
-func checkHotPath() FlowCheck {
-	return FlowCheck{
+func checkHotPath() Check {
+	return Check{
 		ID: "hotpath",
 		Doc: "allocation or hidden cost in a loop of a //lint:hot " +
 			"function: defer, map alloc, append without preallocation, " +
 			"capturing closure, interface boxing",
-		Run: runHotPath,
+		OnFunc: runHotPath,
 	}
 }
 
@@ -51,7 +50,7 @@ type hotAnalysis struct {
 }
 
 func (a *hotAnalysis) emit(n ast.Node, format string, args ...any) {
-	a.diags = append(a.diags, a.fn.diagNode(n, "hotpath", SeverityError, fmt.Sprintf(format, args...)))
+	a.diags = append(a.diags, diag(a.fn.File.Fset, n.Pos(), "hotpath", SeverityError, format, args...))
 }
 
 // scanSliceDecls records local slice variables declared without any

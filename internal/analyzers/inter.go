@@ -1,200 +1,48 @@
 package analyzers
 
 import (
-	"fmt"
 	"go/token"
 	"go/types"
 	"strings"
 )
 
-// This file is the third layer's registration and runner: checks that
-// see every loaded package at once, plus the call graph over them. It
-// mirrors Check/TypedCheck — same ID namespace, same suppression and
-// baseline machinery — but runs once over the whole surface rather
-// than per file, because its properties (context flow, lock-held
-// blocking, determinism taint) only exist across function boundaries.
+// This file is the whole-surface scope: checks that see every loaded
+// package at once, plus the call graph over them. They run once over
+// the surface rather than per file, because their properties (context
+// flow, lock-held blocking, determinism taint) only exist across
+// function boundaries.
 
 // InterContext is the whole-surface analysis state handed to each
-// interprocedural check.
+// OnSurface check.
 type InterContext struct {
 	Pkgs  []*TypedPackage
 	Graph *CallGraph
 
-	files map[string]*TypedFile // diagnostic path -> file
+	files map[string]bool // diagnostic paths of the surface
 	fset  *token.FileSet
 }
 
-// newInterContext indexes the loaded surface for diagnostics and
-// suppression lookup.
+// newInterContext builds the call graph and indexes the loaded surface.
 func newInterContext(pkgs []*TypedPackage) *InterContext {
 	ic := &InterContext{
 		Pkgs:  pkgs,
 		Graph: BuildCallGraph(pkgs),
-		files: map[string]*TypedFile{},
+		files: map[string]bool{},
 	}
 	for _, p := range pkgs {
 		ic.fset = p.Fset
 		for _, f := range p.Files {
-			ic.files[f.Path] = f
+			ic.files[f.Path] = true
 		}
 	}
 	return ic
-}
-
-// diagAt builds a Diagnostic at an arbitrary position of the loaded
-// surface, attributing it to whichever file contains the position.
-func (ic *InterContext) diagAt(pos token.Pos, check string, sev Severity, format string, args ...any) Diagnostic {
-	p := ic.fset.Position(pos)
-	return Diagnostic{
-		File:     p.Filename,
-		Line:     p.Line,
-		Col:      p.Column,
-		Check:    check,
-		Message:  fmt.Sprintf(format, args...),
-		Severity: sev,
-	}
 }
 
 // onSurface reports whether a position lies in one of the loaded
 // (pattern-matched) files — checks use it to keep findings off
 // dependency packages pulled in only through imports.
 func (ic *InterContext) onSurface(pos token.Pos) bool {
-	_, ok := ic.files[ic.fset.Position(pos).Filename]
-	return ok
-}
-
-// InterCheck is an interprocedural analyzer: one run over the whole
-// loaded surface and its call graph.
-type InterCheck struct {
-	ID  string
-	Doc string
-	Run func(ic *InterContext) []Diagnostic
-}
-
-// AllInter returns every registered interprocedural check, sorted by
-// ID.
-func AllInter() []InterCheck {
-	cs := []InterCheck{
-		checkCtxFlow(),
-		checkDeterTaint(),
-		checkLockHeld(),
-	}
-	// Construction order above is already sorted; keep it that way.
-	return cs
-}
-
-// RunInter is Run for interprocedural checks: load the matched
-// packages, build the call graph, run every check, and apply each
-// file's //lint:ignore directives to the findings that landed in it.
-func RunInter(patterns []string, checks []InterCheck) (Result, error) {
-	pkgs, err := Load(patterns)
-	if err != nil {
-		return Result{}, err
-	}
-	return runInterOver(pkgs, checks), nil
-}
-
-// runInterOver executes the interprocedural checks over an
-// already-loaded surface.
-func runInterOver(pkgs []*TypedPackage, checks []InterCheck) Result {
-	ic := newInterContext(pkgs)
-	var res Result
-	for _, p := range pkgs {
-		res.Files += len(p.Files)
-	}
-	var diags []Diagnostic
-	for _, c := range checks {
-		c := c
-		timeCheck(c.ID, func() {
-			for _, d := range c.Run(ic) {
-				// Keep findings on the pattern-matched surface: summaries may
-				// walk dependency packages, but their files are not lintable
-				// here (no suppression context, not requested).
-				if _, ok := ic.files[d.File]; ok {
-					diags = append(diags, d)
-				}
-			}
-		})
-	}
-	res.Diags = applyFileSuppressions(diags, ic.files)
-	sortDiags(res.Diags)
-	return res
-}
-
-// applyFileSuppressions filters diagnostics through the ignore
-// directives of the files they landed in.
-func applyFileSuppressions(diags []Diagnostic, files map[string]*TypedFile) []Diagnostic {
-	byFile := map[string][]Diagnostic{}
-	var order []string
-	for _, d := range diags {
-		if _, seen := byFile[d.File]; !seen {
-			order = append(order, d.File)
-		}
-		byFile[d.File] = append(byFile[d.File], d)
-	}
-	var out []Diagnostic
-	for _, path := range order {
-		ds := byFile[path]
-		if f, ok := files[path]; ok {
-			dirs, _ := parseIgnores(&f.File)
-			ds = suppress(ds, dirs)
-		}
-		out = append(out, ds...)
-	}
-	return out
-}
-
-// RunLayers executes one lint pass across all four layers with a
-// single syntactic parse and a single type-checked load shared by the
-// typed, interprocedural, and flow-sensitive layers — the entry
-// cmd/lint uses so CI pays the loader cost once, not four times.
-func RunLayers(patterns []string, sel Selection) (Result, error) {
-	var res Result
-	if len(sel.Syntactic) > 0 {
-		var r Result
-		var err error
-		timeLayer("syntactic", func() { r, err = Run(patterns, sel.Syntactic) })
-		if err != nil {
-			return Result{}, err
-		}
-		res = r
-	}
-	if len(sel.Typed) > 0 || len(sel.Inter) > 0 || len(sel.Flow) > 0 {
-		var pkgs []*TypedPackage
-		var err error
-		timeLayer("load", func() { pkgs, err = Load(patterns) })
-		if err != nil {
-			return Result{}, err
-		}
-		files := 0
-		timeLayer("typed", func() {
-			for _, p := range pkgs {
-				for _, f := range p.Files {
-					if len(sel.Typed) > 0 {
-						res.Diags = append(res.Diags, LintTypedFile(f, sel.Typed)...)
-					}
-					files++
-				}
-			}
-		})
-		if len(sel.Inter) > 0 {
-			timeLayer("inter", func() {
-				ir := runInterOver(pkgs, sel.Inter)
-				res.Diags = append(res.Diags, ir.Diags...)
-			})
-		}
-		if len(sel.Flow) > 0 {
-			timeLayer("flow", func() {
-				fr := runFlowOver(pkgs, sel.Flow)
-				res.Diags = append(res.Diags, fr.Diags...)
-			})
-		}
-		if files > res.Files {
-			res.Files = files
-		}
-	}
-	sortDiags(res.Diags)
-	return res, nil
+	return ic.files[ic.fset.Position(pos).Filename]
 }
 
 // isContextType reports whether t is context.Context.

@@ -30,7 +30,7 @@ func checkLockBalance() Check {
 	return Check{
 		ID:  id,
 		Doc: "every Mutex.Lock has a defer Unlock or a matching Unlock on all return paths",
-		Run: func(f *File) []Diagnostic {
+		OnFile: func(f *File) []Diagnostic {
 			var diags []Diagnostic
 			funcBodies(f.AST, func(name string, ftype *ast.FuncType, body *ast.BlockStmt) {
 				diags = append(diags, lockFindings(f, id, name, body)...)
@@ -172,7 +172,7 @@ func lockFindings(f *File, id, fname string, body *ast.BlockStmt) []Diagnostic {
 			released := false
 			for _, later := range stmts[i+1:] {
 				if returnBeforeUnlock(later, recv, unlockName, closures) {
-					diags = append(diags, f.diag(call.Pos(), id, SeverityError,
+					diags = append(diags, diag(f.Fset, call.Pos(), id, SeverityError,
 						"%s.%s in %s: a return path escapes before %s.%s; use defer",
 						recv, name, fname, recv, unlockName))
 					released = true // reported; don't double-report below
@@ -184,7 +184,7 @@ func lockFindings(f *File, id, fname string, body *ast.BlockStmt) []Diagnostic {
 				}
 			}
 			if !released {
-				diags = append(diags, f.diag(call.Pos(), id, SeverityError,
+				diags = append(diags, diag(f.Fset, call.Pos(), id, SeverityError,
 					"%s.%s in %s has no defer %s.%s and no unlock on the fallthrough path",
 					recv, name, fname, recv, unlockName))
 			}
@@ -257,7 +257,7 @@ func tryLockFindings(f *File, id, fname string, ifs *ast.IfStmt, rest []ast.Stmt
 	if unlock == "RUnlock" {
 		try = "TryRLock"
 	}
-	return []Diagnostic{f.diag(ifs.Cond.Pos(), id, SeverityError,
+	return []Diagnostic{diag(f.Fset, ifs.Cond.Pos(), id, SeverityError,
 		"%s.%s in %s: the success path never releases %s; add defer %s.%s",
 		recv, try, fname, recv, recv, unlock)}
 }

@@ -50,13 +50,13 @@ type blockVerdict struct {
 	path   []string // call chain from the node to the leaf, exclusive of the node
 }
 
-func checkLockHeld() InterCheck {
+func checkLockHeld() Check {
 	const id = "lockheld"
-	return InterCheck{
+	return Check{
 		ID: id,
 		Doc: "no blocking operation (channel op, select, time.Sleep, WaitGroup.Wait, net/http call, " +
 			"or a callee reaching one) while a sync.Mutex/RWMutex is held",
-		Run: func(ic *InterContext) []Diagnostic {
+		OnSurface: func(ic *InterContext) []Diagnostic {
 			c := &lockHeldCheck{ic: ic, id: id, memo: map[*CallNode]*blockVerdict{}}
 			for _, n := range ic.Graph.Nodes() {
 				if n.External() || !ic.onSurface(n.posOf()) {
@@ -234,18 +234,18 @@ func (c *lockHeldCheck) flagBlocking(n *CallNode, stmt ast.Stmt, held map[string
 			return false // nested lists handled by recurseLists
 		case *ast.SelectStmt:
 			if !selectHasDefault(node) {
-				c.diags = append(c.diags, c.ic.diagAt(node.Pos(), c.id, SeverityError,
+				c.diags = append(c.diags, diag(c.ic.fset, node.Pos(), c.id, SeverityError,
 					"select with no default while %s is held in %s; waiting peers queue behind the lock",
 					lock, n.Name()))
 			}
 			return false // clause bodies handled by recurseLists
 		case *ast.SendStmt:
-			c.diags = append(c.diags, c.ic.diagAt(node.Pos(), c.id, SeverityError,
+			c.diags = append(c.diags, diag(c.ic.fset, node.Pos(), c.id, SeverityError,
 				"channel send while %s is held in %s; release the lock before communicating",
 				lock, n.Name()))
 		case *ast.UnaryExpr:
 			if node.Op.String() == "<-" && isChanRecv(n, node) {
-				c.diags = append(c.diags, c.ic.diagAt(node.Pos(), c.id, SeverityError,
+				c.diags = append(c.diags, diag(c.ic.fset, node.Pos(), c.id, SeverityError,
 					"channel receive while %s is held in %s; release the lock before communicating",
 					lock, n.Name()))
 			}
@@ -271,7 +271,7 @@ func (c *lockHeldCheck) flagBlockingCall(n *CallNode, call *ast.CallExpr, lock s
 		if len(v.path) > 0 {
 			via = " via " + strings.Join(v.path, " -> ")
 		}
-		c.diags = append(c.diags, c.ic.diagAt(call.Pos(), c.id, SeverityError,
+		c.diags = append(c.diags, diag(c.ic.fset, call.Pos(), c.id, SeverityError,
 			"call to %s blocks (%s%s) while %s is held in %s; release the lock first",
 			e.Callee.Name(), v.why, via, lock, n.Name()))
 		return // one finding per site, even with fan-out

@@ -13,12 +13,12 @@ import (
 // into an enormous positive one. Conversions of untagged values (site
 // indices, loop counters) are out of scope; the compiler already checks
 // constants.
-func checkLossyConv() TypedCheck {
+func checkLossyConv() Check {
 	const id = "lossyconv"
-	return TypedCheck{
+	return Check{
 		ID:  id,
 		Doc: "lossy integer conversions of byte/halo-count quantities: int32(nBytes) wraps past 2 GiB, float-to-int truncates, signed-to-unsigned flips negatives",
-		Run: func(f *TypedFile) []Diagnostic {
+		OnTypedFile: func(f *TypedFile) []Diagnostic {
 			info := f.Package.Info
 			var diags []Diagnostic
 			ast.Inspect(f.AST, func(n ast.Node) bool {
@@ -46,18 +46,18 @@ func checkLossyConv() TypedCheck {
 				conv := exprString(call.Fun)
 				switch {
 				case src.Info()&types.IsFloat != 0 && dst.Info()&types.IsInteger != 0:
-					diags = append(diags, f.diag(call.Pos(), id, SeverityError,
+					diags = append(diags, diag(f.Fset, call.Pos(), id, SeverityError,
 						"%s(%s) truncates a fractional %s count to an integer; round explicitly before converting",
 						conv, exprString(arg), qty))
 				case src.Info()&types.IsInteger != 0 && dst.Info()&types.IsInteger != 0:
 					sw, dw := intWidth(src), intWidth(dst)
 					signFlip := src.Info()&types.IsUnsigned == 0 && dst.Info()&types.IsUnsigned != 0
 					if dw < sw {
-						diags = append(diags, f.diag(call.Pos(), id, SeverityError,
+						diags = append(diags, diag(f.Fset, call.Pos(), id, SeverityError,
 							"%s(%s) narrows the %s count from %d to %d bits; values past 2^%d wrap silently",
 							conv, exprString(arg), qty, sw, dw, dw-1))
 					} else if signFlip {
-						diags = append(diags, f.diag(call.Pos(), id, SeverityError,
+						diags = append(diags, diag(f.Fset, call.Pos(), id, SeverityError,
 							"%s(%s) reinterprets the signed %s count as unsigned; a negative value becomes enormous",
 							conv, exprString(arg), qty))
 					}

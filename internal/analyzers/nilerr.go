@@ -1,7 +1,6 @@
 package analyzers
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -50,12 +49,12 @@ func (s nilErrState) clone() nilErrState {
 	return out
 }
 
-func checkNilErr() FlowCheck {
-	return FlowCheck{
+func checkNilErr() Check {
+	return Check{
 		ID: "nilerr",
 		Doc: "result used on a path where its companion error is non-nil; " +
 			"error overwritten or dropped before being read",
-		Run: runNilErr,
+		OnFunc: runNilErr,
 	}
 }
 
@@ -97,13 +96,8 @@ func runNilErr(fn *FlowFunc) []Diagnostic {
 		for obj, f := range exit {
 			if f.pending && !reported[f.assignPos] {
 				reported[f.assignPos] = true
-				p := fn.File.Fset.Position(f.assignPos)
-				a.diags = append(a.diags, Diagnostic{
-					File: p.Filename, Line: p.Line, Col: p.Column,
-					Check:    "nilerr",
-					Message:  fmt.Sprintf("error %s is assigned here but never read before return", obj.Name()),
-					Severity: SeverityError,
-				})
+				a.diags = append(a.diags, diag(fn.File.Fset, f.assignPos, "nilerr", SeverityError,
+					"error %s is assigned here but never read before return", obj.Name()))
 			}
 		}
 	}
@@ -194,7 +188,7 @@ func (a *nilErrAnalysis) emit(n ast.Node, format string, args ...any) {
 	if !a.report {
 		return
 	}
-	a.diags = append(a.diags, a.fn.diagNode(n, "nilerr", SeverityError, fmt.Sprintf(format, args...)))
+	a.diags = append(a.diags, diag(a.fn.File.Fset, n.Pos(), "nilerr", SeverityError, format, args...))
 }
 
 // transfer walks one block's nodes in evaluation order, updating a

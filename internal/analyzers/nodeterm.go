@@ -37,7 +37,7 @@ func checkNoDeterm() Check {
 	return Check{
 		ID:  id,
 		Doc: "no global math/rand, wall clock, or unsorted map-order output in deterministic packages (fleet, simcloud, perfmodel, cloud, campaign)",
-		Run: func(f *File) []Diagnostic {
+		OnFile: func(f *File) []Diagnostic {
 			if !deterministicPkgs[f.Pkg] {
 				return nil
 			}
@@ -62,14 +62,14 @@ func checkNoDeterm() Check {
 				switch {
 				case (pkg.Name == randName && randName != "") || (pkg.Name == randV2 && randV2 != ""):
 					if !randConstructors[sel.Sel.Name] {
-						diags = append(diags, f.diag(call.Pos(), id, SeverityError,
+						diags = append(diags, diag(f.Fset, call.Pos(), id, SeverityError,
 							"call to global %s.%s in deterministic package %s; thread a seeded *rand.Rand instead",
 							pkg.Name, sel.Sel.Name, f.Pkg))
 					}
 				case pkg.Name == timeName && timeName != "":
 					switch sel.Sel.Name {
 					case "Now", "Since":
-						diags = append(diags, f.diag(call.Pos(), id, SeverityError,
+						diags = append(diags, diag(f.Fset, call.Pos(), id, SeverityError,
 							"wall-clock time.%s in deterministic package %s; inject a clock or use simulated time",
 							sel.Sel.Name, f.Pkg))
 					}
@@ -167,7 +167,7 @@ func mapOrderFindings(f *File, id string, ftype *ast.FuncType, body *ast.BlockSt
 		if !escape || (target != "" && sorted[target]) {
 			return true
 		}
-		diags = append(diags, f.diag(rng.Pos(), id, SeverityError,
+		diags = append(diags, diag(f.Fset, rng.Pos(), id, SeverityError,
 			"iteration over map %s produces order-dependent output; collect and sort keys first", subj.Name))
 		return true
 	})

@@ -2,9 +2,6 @@ package analyzers
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -26,18 +23,98 @@ type Result struct {
 // values and discarded errors, and testdata holds intentionally dirty
 // fixtures.
 func Run(patterns []string, checks []Check) (Result, error) {
+	return newLoader().run(patterns, checks)
+}
+
+// run is Run over a caller-owned loader, so successive runs share its
+// parsed and type-checked packages.
+func (l *loader) run(patterns []string, checks []Check) (Result, error) {
 	dirs, err := expandPatterns(patterns)
 	if err != nil {
 		return Result{}, err
 	}
-	var res Result
-	for _, dir := range dirs {
-		diags, n, err := lintDir(dir, checks)
+	var typed, cfg, graph bool
+	for _, c := range checks {
+		typed = typed || c.OnFile == nil
+		cfg = cfg || c.OnFunc != nil
+		graph = graph || c.OnSurface != nil
+	}
+
+	var pkgs []*TypedPackage
+	timeStage("parse", func() {
+		for _, dir := range dirs {
+			var p *TypedPackage
+			if p, err = l.parse(dir); err != nil {
+				return
+			}
+			pkgs = append(pkgs, p)
+		}
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	if typed {
+		timeStage("typecheck", func() {
+			for _, p := range pkgs {
+				if err = l.typeCheck(p); err != nil {
+					return
+				}
+			}
+		})
 		if err != nil {
 			return Result{}, err
 		}
-		res.Diags = append(res.Diags, diags...)
-		res.Files += n
+	}
+
+	var res Result
+	var diags []Diagnostic
+	ignores := map[string][]ignoreDirective{} // by file path; keys are the surface
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			res.Files++
+			directives, bad := parseIgnores(&f.File)
+			ignores[f.Path] = directives
+			diags = append(diags, bad...)
+			for _, c := range checks {
+				switch {
+				case c.OnFile != nil:
+					timeCheck(c.ID, func() { diags = append(diags, c.OnFile(&f.File)...) })
+				case c.OnTypedFile != nil:
+					timeCheck(c.ID, func() { diags = append(diags, c.OnTypedFile(f)...) })
+				}
+			}
+			if !cfg {
+				continue
+			}
+			var fns []*FlowFunc
+			timeStage("cfg", func() { fns = flowFuncsOf(f) })
+			for _, fn := range fns {
+				for _, c := range checks {
+					if c.OnFunc != nil {
+						timeCheck(c.ID, func() { diags = append(diags, c.OnFunc(fn)...) })
+					}
+				}
+			}
+		}
+	}
+	if graph {
+		var ic *InterContext
+		timeStage("callgraph", func() { ic = newInterContext(pkgs) })
+		for _, c := range checks {
+			if c.OnSurface != nil {
+				timeCheck(c.ID, func() { diags = append(diags, c.OnSurface(ic)...) })
+			}
+		}
+	}
+
+	// One suppression pass for every scope. Whole-surface checks may walk
+	// dependency packages; their findings there are dropped, since those
+	// files were not requested.
+	for _, d := range diags {
+		directives, ok := ignores[d.File]
+		if ok && !suppressed(d, directives) {
+			res.Diags = append(res.Diags, d)
+		}
 	}
 	sortDiags(res.Diags)
 	return res, nil
@@ -118,59 +195,4 @@ func hasGoFiles(dir string) bool {
 // lintableFile reports whether a file name is in scope.
 func lintableFile(name string) bool {
 	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
-}
-
-// lintDir parses every lintable file of one directory as a package
-// group and runs the checks over each file.
-func lintDir(dir string, checks []Check) ([]Diagnostic, int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, 0, fmt.Errorf("analyzers: %w", err)
-	}
-	fset := token.NewFileSet()
-	type parsed struct {
-		path string
-		ast  *ast.File
-	}
-	var files []parsed
-	for _, e := range entries {
-		if e.IsDir() || !lintableFile(e.Name()) {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		af, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return nil, 0, fmt.Errorf("analyzers: %w", err)
-		}
-		files = append(files, parsed{path: path, ast: af})
-	}
-	asts := make([]*ast.File, len(files))
-	for i := range files {
-		asts[i] = files[i].ast
-	}
-	var diags []Diagnostic
-	for i := range files {
-		f := &File{
-			Fset:     fset,
-			AST:      files[i].ast,
-			Path:     files[i].path,
-			Pkg:      files[i].ast.Name.Name,
-			Siblings: asts,
-		}
-		diags = append(diags, LintFile(f, checks)...)
-	}
-	return diags, len(files), nil
-}
-
-// LintFile runs the checks over one prepared file and applies its
-// suppression directives. Exposed for the golden-file tests.
-func LintFile(f *File, checks []Check) []Diagnostic {
-	dirs, diags := parseIgnores(f)
-	for _, c := range checks {
-		c := c
-		timeCheck(c.ID, func() { diags = append(diags, c.Run(f)...) })
-	}
-	diags = suppress(diags, dirs)
-	sortDiags(diags)
-	return diags
 }

@@ -34,7 +34,7 @@ func parseIgnores(f *File) ([]ignoreDirective, []Diagnostic) {
 			rest := strings.TrimSpace(strings.TrimPrefix(text, "lint:ignore"))
 			fields := strings.Fields(rest)
 			if len(fields) < 2 {
-				diags = append(diags, f.diag(c.Pos(), BadIgnoreID, SeverityError,
+				diags = append(diags, diag(f.Fset, c.Pos(), BadIgnoreID, SeverityError,
 					"malformed suppression %q: want //lint:ignore <check>[,<check>] <reason>", c.Text))
 				continue
 			}
@@ -52,29 +52,17 @@ func parseIgnores(f *File) ([]ignoreDirective, []Diagnostic) {
 	return dirs, diags
 }
 
-// suppress filters out diagnostics covered by an ignore directive on
-// the same line or the line immediately above, the two placements a
+// suppressed reports whether an ignore directive on the diagnostic's
+// line or the line immediately above covers it — the two placements a
 // human reads as "about this statement".
-func suppress(diags []Diagnostic, dirs []ignoreDirective) []Diagnostic {
-	if len(dirs) == 0 {
-		return diags
-	}
-	covered := func(d Diagnostic) bool {
-		for _, dir := range dirs {
-			if dir.line != d.Line && dir.line != d.Line-1 {
-				continue
-			}
-			if dir.checks["*"] || dir.checks[d.Check] {
-				return true
-			}
+func suppressed(d Diagnostic, dirs []ignoreDirective) bool {
+	for _, dir := range dirs {
+		if dir.line != d.Line && dir.line != d.Line-1 {
+			continue
 		}
-		return false
-	}
-	out := diags[:0]
-	for _, d := range diags {
-		if !covered(d) {
-			out = append(out, d)
+		if dir.checks["*"] || dir.checks[d.Check] {
+			return true
 		}
 	}
-	return out
+	return false
 }

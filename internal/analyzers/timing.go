@@ -7,9 +7,10 @@ import (
 )
 
 // This file is the optional wall-time instrumentation behind
-// cmd/lint -timing: per-check and per-layer durations for one run, so
-// a BenchmarkRunAll CI gate failure can be pinned on the check that
-// grew slow instead of bisected by hand. Collection is off unless a
+// cmd/lint -timing: per-check durations for one run, plus the shared
+// setup stages no check owns (parse, typecheck, callgraph, cfg), so a
+// BenchmarkRunAll CI gate failure can be pinned on the check or stage
+// that grew slow instead of bisected by hand. Collection is off unless a
 // caller installs a sink, so the library's normal path costs a single
 // atomic load per check invocation.
 
@@ -17,18 +18,18 @@ import (
 type Timings struct {
 	mu     sync.Mutex
 	checks map[string]time.Duration
-	layers map[string]time.Duration
+	stages map[string]time.Duration
 }
 
 // timingSink is the active collector (nil when disabled).
 var timingSink atomic.Pointer[Timings]
 
 // CollectTimings installs and returns a fresh collector; every
-// subsequent Run/RunLayers records into it until StopTimings.
+// subsequent Run records into it until StopTimings.
 func CollectTimings() *Timings {
 	t := &Timings{
 		checks: map[string]time.Duration{},
-		layers: map[string]time.Duration{},
+		stages: map[string]time.Duration{},
 	}
 	timingSink.Store(t)
 	return t
@@ -40,23 +41,16 @@ func StopTimings() {
 }
 
 // Checks returns the accumulated per-check durations.
-func (t *Timings) Checks() map[string]time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]time.Duration, len(t.checks))
-	for k, v := range t.checks {
-		out[k] = v
-	}
-	return out
-}
+func (t *Timings) Checks() map[string]time.Duration { return t.snapshot(t.checks) }
 
-// Layers returns the accumulated per-layer durations (including the
-// shared type-checked load as layer "load").
-func (t *Timings) Layers() map[string]time.Duration {
+// Stages returns the accumulated durations of the shared setup stages.
+func (t *Timings) Stages() map[string]time.Duration { return t.snapshot(t.stages) }
+
+func (t *Timings) snapshot(m map[string]time.Duration) map[string]time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[string]time.Duration, len(t.layers))
-	for k, v := range t.layers {
+	out := make(map[string]time.Duration, len(m))
+	for k, v := range m {
 		out[k] = v
 	}
 	return out
@@ -68,9 +62,9 @@ func (t *Timings) addCheck(id string, d time.Duration) {
 	t.mu.Unlock()
 }
 
-func (t *Timings) addLayer(name string, d time.Duration) {
+func (t *Timings) addStage(name string, d time.Duration) {
 	t.mu.Lock()
-	t.layers[name] += d
+	t.stages[name] += d
 	t.mu.Unlock()
 }
 
@@ -87,9 +81,9 @@ func timeCheck(id string, f func()) {
 	t.addCheck(id, time.Since(start))
 }
 
-// timeLayer runs one layer phase, attributing its wall time when
-// collection is on.
-func timeLayer(name string, f func()) {
+// timeStage runs one shared setup stage, attributing its wall time
+// when collection is on.
+func timeStage(name string, f func()) {
 	t := timingSink.Load()
 	if t == nil {
 		f()
@@ -97,5 +91,5 @@ func timeLayer(name string, f func()) {
 	}
 	start := time.Now()
 	f()
-	t.addLayer(name, time.Since(start))
+	t.addStage(name, time.Since(start))
 }

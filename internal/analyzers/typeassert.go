@@ -11,12 +11,12 @@ import (
 // instead of reporting a typed error. The message names the syntactic
 // context (return, call argument, assignment, expression) so the
 // rewrite is obvious.
-func checkTypeAssert() TypedCheck {
+func checkTypeAssert() Check {
 	const id = "typeassert"
-	return TypedCheck{
+	return Check{
 		ID:  id,
 		Doc: "type assertions must use the v, ok := comma-ok form; a bare x.(T) panics at runtime on an unexpected dynamic type",
-		Run: func(f *TypedFile) []Diagnostic {
+		OnTypedFile: func(f *TypedFile) []Diagnostic {
 			var diags []Diagnostic
 
 			// Assertions whose result count makes them safe: the
@@ -55,7 +55,7 @@ func checkTypeAssert() TypedCheck {
 				if !ok || ta.Type == nil || safe[ta] {
 					return true // ta.Type == nil is a type-switch guard
 				}
-				diags = append(diags, f.diag(ta.Pos(), id, SeverityError,
+				diags = append(diags, diag(f.Fset, ta.Pos(), id, SeverityError,
 					"bare type assertion %s.(%s) %s; use the v, ok := form so an unexpected dynamic type cannot panic",
 					exprString(ta.X), assertedType(f, ta), assertContext(parent, ta)))
 				return true

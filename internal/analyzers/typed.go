@@ -11,108 +11,36 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
-// This file is the typed half of the suite: a stdlib-only loader that
-// builds full go/types information for every package on the lint
-// surface, and the TypedCheck registration that parallels Check. The
-// loader resolves standard-library imports through the source importer
+// This file is the suite's loader: a stdlib-only front end that parses
+// every package on the lint surface once and, when a check needs
+// types, builds full go/types information for it. It resolves
+// standard-library imports through the source importer
 // (importer.ForCompiler(fset, "source", nil)) and module-internal
 // imports itself, by walking up to go.mod, mapping the import path to a
 // directory and type-checking that directory recursively — the piece
 // the source importer cannot do in module mode.
 
-// TypedPackage is one fully type-checked package.
+// TypedPackage is one loaded package. Path, Types and Info are set
+// once it is type-checked; a parse-only run leaves them empty.
 type TypedPackage struct {
-	Dir   string // directory as walked, the prefix of diagnostic paths
+	Dir   string // directory as rendered, the prefix of diagnostic paths
 	Path  string // import path within the enclosing module
 	Fset  *token.FileSet
 	Files []*TypedFile
 	Types *types.Package
 	Info  *types.Info
+
+	abs string // absolute directory, the loader's memo key
 }
 
-// TypedFile is the per-file context handed to semantic checks: the
-// syntactic File plus the type information of its package.
+// TypedFile is the per-file context handed to checks that need types:
+// the syntactic File plus the type information of its package.
 type TypedFile struct {
 	File
 	Package *TypedPackage
-}
-
-// TypedCheck is a semantic analyzer. It mirrors Check — same ID
-// namespace, same suppression and baseline machinery — but its run
-// function sees full type information.
-type TypedCheck struct {
-	ID  string
-	Doc string
-	Run func(f *TypedFile) []Diagnostic
-}
-
-// AllTyped returns every registered semantic check, sorted by ID.
-func AllTyped() []TypedCheck {
-	cs := []TypedCheck{
-		checkLossyConv(),
-		checkTypeAssert(),
-		checkUnitFlow(),
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].ID < cs[j].ID })
-	return cs
-}
-
-// Selection names the checks of one lint run across all four layers.
-type Selection struct {
-	Syntactic []Check
-	Typed     []TypedCheck
-	Inter     []InterCheck
-	Flow      []FlowCheck
-}
-
-// SelectAll resolves check IDs across the syntactic, typed,
-// interprocedural, and flow-sensitive suites (all checks of every
-// layer when ids is empty), or returns an error naming any unknown ID.
-func SelectAll(ids []string) (Selection, error) {
-	if len(ids) == 0 {
-		return Selection{Syntactic: All(), Typed: AllTyped(), Inter: AllInter(), Flow: AllFlow()}, nil
-	}
-	syn := map[string]Check{}
-	for _, c := range All() {
-		syn[c.ID] = c
-	}
-	typ := map[string]TypedCheck{}
-	for _, c := range AllTyped() {
-		typ[c.ID] = c
-	}
-	inter := map[string]InterCheck{}
-	for _, c := range AllInter() {
-		inter[c.ID] = c
-	}
-	flow := map[string]FlowCheck{}
-	for _, c := range AllFlow() {
-		flow[c.ID] = c
-	}
-	var sel Selection
-	for _, id := range ids {
-		if c, ok := syn[id]; ok {
-			sel.Syntactic = append(sel.Syntactic, c)
-			continue
-		}
-		if c, ok := typ[id]; ok {
-			sel.Typed = append(sel.Typed, c)
-			continue
-		}
-		if c, ok := inter[id]; ok {
-			sel.Inter = append(sel.Inter, c)
-			continue
-		}
-		if c, ok := flow[id]; ok {
-			sel.Flow = append(sel.Flow, c)
-			continue
-		}
-		return Selection{}, fmt.Errorf("analyzers: unknown check %q", id)
-	}
-	return sel, nil
 }
 
 // Load type-checks the directories matched by the given package
@@ -126,7 +54,7 @@ func Load(patterns []string) ([]*TypedPackage, error) {
 	l := newLoader()
 	var pkgs []*TypedPackage
 	for _, dir := range dirs {
-		p, err := l.loadDir(dir)
+		p, err := l.load(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -135,64 +63,31 @@ func Load(patterns []string) ([]*TypedPackage, error) {
 	return pkgs, nil
 }
 
-// RunTyped is Run for semantic checks: it loads the matched packages
-// with full type information and lints every file, honoring the same
-// //lint:ignore directives. Malformed directives are not re-reported
-// here; the syntactic run owns badignore.
-func RunTyped(patterns []string, checks []TypedCheck) (Result, error) {
-	pkgs, err := Load(patterns)
-	if err != nil {
-		return Result{}, err
-	}
-	var res Result
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			res.Diags = append(res.Diags, LintTypedFile(f, checks)...)
-			res.Files++
-		}
-	}
-	sortDiags(res.Diags)
-	return res, nil
-}
-
-// LintTypedFile runs the semantic checks over one loaded file and
-// applies its suppression directives. Exposed for the golden tests.
-func LintTypedFile(f *TypedFile, checks []TypedCheck) []Diagnostic {
-	dirs, _ := parseIgnores(&f.File)
-	var diags []Diagnostic
-	for _, c := range checks {
-		c := c
-		timeCheck(c.ID, func() { diags = append(diags, c.Run(f)...) })
-	}
-	diags = suppress(diags, dirs)
-	sortDiags(diags)
-	return diags
-}
-
 // module is one enclosing module: its root directory and module path.
 type module struct {
 	root string // absolute
 	path string
 }
 
-// loader memoizes type-checked packages across one Load/RunTyped call
-// so shared dependencies are checked once.
+// loader memoizes parsed and type-checked packages across one Load or
+// Run call, so each file is parsed once and shared dependencies are
+// checked once.
 type loader struct {
-	fset    *token.FileSet
-	std     types.Importer
-	pkgs    map[string]*TypedPackage // by absolute directory
-	loading map[string]bool
-	mods    map[string]*module // by absolute directory
+	fset     *token.FileSet
+	std      types.Importer
+	pkgs     map[string]*TypedPackage // by absolute directory
+	checking map[string]bool          // type-checks in progress, for cycle detection
+	mods     map[string]*module       // by absolute directory
 }
 
 func newLoader() *loader {
 	fset := token.NewFileSet()
 	return &loader{
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
-		pkgs:    map[string]*TypedPackage{},
-		loading: map[string]bool{},
-		mods:    map[string]*module{},
+		fset:     fset,
+		std:      importer.ForCompiler(fset, "source", nil),
+		pkgs:     map[string]*TypedPackage{},
+		checking: map[string]bool{},
+		mods:     map[string]*module{},
 	}
 }
 
@@ -236,8 +131,20 @@ func modulePath(gomod []byte) string {
 	return ""
 }
 
-// loadDir parses and type-checks the lintable files of one directory.
-func (l *loader) loadDir(dir string) (*TypedPackage, error) {
+// load parses and type-checks one directory.
+func (l *loader) load(dir string) (*TypedPackage, error) {
+	p, err := l.parse(dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.typeCheck(p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// parse reads the lintable files of one directory.
+func (l *loader) parse(dir string) (*TypedPackage, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, fmt.Errorf("analyzers: %w", err)
@@ -245,30 +152,12 @@ func (l *loader) loadDir(dir string) (*TypedPackage, error) {
 	if p, ok := l.pkgs[abs]; ok {
 		return p, nil
 	}
-	if l.loading[abs] {
-		return nil, fmt.Errorf("analyzers: import cycle through %s", dir)
-	}
-	l.loading[abs] = true
-	defer delete(l.loading, abs)
 
-	mod, err := l.moduleFor(abs)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := filepath.Rel(mod.root, abs)
-	if err != nil {
-		return nil, fmt.Errorf("analyzers: %w", err)
-	}
-	importPath := mod.path
-	if rel != "." {
-		importPath = mod.path + "/" + filepath.ToSlash(rel)
-	}
-
-	// Diagnostics carry dir verbatim, so prefer a working-directory-
-	// relative rendering even when the package was first reached through
-	// the importer (which resolves by absolute path): workflow
-	// annotations and baselines need paths that mean something outside
-	// this machine.
+	// Diagnostics carry the rendered path verbatim, so prefer a
+	// working-directory-relative rendering, also for an absolute pattern
+	// or a package first reached through the importer (which resolves by
+	// absolute path): workflow annotations and baselines need paths that
+	// mean something outside this machine.
 	display := dir
 	if filepath.IsAbs(display) {
 		if wd, err := os.Getwd(); err == nil {
@@ -283,7 +172,7 @@ func (l *loader) loadDir(dir string) (*TypedPackage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analyzers: %w", err)
 	}
-	var paths []string
+	p := &TypedPackage{Dir: display, Fset: l.fset, abs: abs}
 	var asts []*ast.File
 	for _, e := range entries {
 		if e.IsDir() || !lintableFile(e.Name()) {
@@ -294,11 +183,45 @@ func (l *loader) loadDir(dir string) (*TypedPackage, error) {
 		if err != nil {
 			return nil, fmt.Errorf("analyzers: %w", err)
 		}
-		paths = append(paths, path)
 		asts = append(asts, af)
+		p.Files = append(p.Files, &TypedFile{
+			File:    File{Fset: l.fset, AST: af, Path: path, Pkg: af.Name.Name},
+			Package: p,
+		})
 	}
 	if len(asts) == 0 {
 		return nil, fmt.Errorf("analyzers: no lintable Go files in %s", dir)
+	}
+	for _, f := range p.Files {
+		f.Siblings = asts
+	}
+	l.pkgs[abs] = p
+	return p, nil
+}
+
+// typeCheck fills in a parsed package's type information, checking its
+// module-internal imports first.
+func (l *loader) typeCheck(p *TypedPackage) error {
+	if p.Types != nil {
+		return nil
+	}
+	if l.checking[p.abs] {
+		return fmt.Errorf("analyzers: import cycle through %s", p.Dir)
+	}
+	l.checking[p.abs] = true
+	defer delete(l.checking, p.abs)
+
+	mod, err := l.moduleFor(p.abs)
+	if err != nil {
+		return err
+	}
+	rel, err := filepath.Rel(mod.root, p.abs)
+	if err != nil {
+		return fmt.Errorf("analyzers: %w", err)
+	}
+	importPath := mod.path
+	if rel != "." {
+		importPath = mod.path + "/" + filepath.ToSlash(rel)
 	}
 
 	info := &types.Info{
@@ -308,26 +231,12 @@ func (l *loader) loadDir(dir string) (*TypedPackage, error) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: &modImporter{l: l, mod: mod}}
-	tpkg, err := conf.Check(importPath, l.fset, asts, info)
+	tpkg, err := conf.Check(importPath, l.fset, p.Files[0].Siblings, info)
 	if err != nil {
-		return nil, fmt.Errorf("analyzers: type-checking %s: %w", dir, err)
+		return fmt.Errorf("analyzers: type-checking %s: %w", p.Dir, err)
 	}
-
-	p := &TypedPackage{Dir: display, Path: importPath, Fset: l.fset, Types: tpkg, Info: info}
-	for i := range asts {
-		p.Files = append(p.Files, &TypedFile{
-			File: File{
-				Fset:     l.fset,
-				AST:      asts[i],
-				Path:     paths[i],
-				Pkg:      asts[i].Name.Name,
-				Siblings: asts,
-			},
-			Package: p,
-		})
-	}
-	l.pkgs[abs] = p
-	return p, nil
+	p.Path, p.Types, p.Info = importPath, tpkg, info
+	return nil
 }
 
 // modImporter resolves the imports of one package: module-internal
@@ -344,14 +253,14 @@ func (m *modImporter) Import(path string) (*types.Package, error) {
 		return types.Unsafe, nil
 	}
 	if path == m.mod.path {
-		p, err := m.l.loadDir(m.mod.root)
+		p, err := m.l.load(m.mod.root)
 		if err != nil {
 			return nil, err
 		}
 		return p.Types, nil
 	}
 	if sub, ok := strings.CutPrefix(path, m.mod.path+"/"); ok {
-		p, err := m.l.loadDir(filepath.Join(m.mod.root, filepath.FromSlash(sub)))
+		p, err := m.l.load(filepath.Join(m.mod.root, filepath.FromSlash(sub)))
 		if err != nil {
 			return nil, err
 		}

@@ -7,109 +7,6 @@ import (
 	"testing"
 )
 
-// loadFixture type-checks one testdata directory and returns its single
-// lintable file.
-func loadFixture(t *testing.T, dir string) *TypedFile {
-	t.Helper()
-	pkgs, err := Load([]string{dir})
-	if err != nil {
-		t.Fatalf("Load(%s): %v", dir, err)
-	}
-	if len(pkgs) != 1 || len(pkgs[0].Files) != 1 {
-		t.Fatalf("Load(%s): want 1 package with 1 file, got %d package(s)", dir, len(pkgs))
-	}
-	return pkgs[0].Files[0]
-}
-
-// runTypedOn runs a single typed check (by ID) over one fixture dir.
-func runTypedOn(t *testing.T, checkID, dir string) []Diagnostic {
-	t.Helper()
-	sel, err := SelectAll([]string{checkID})
-	if err != nil {
-		t.Fatalf("SelectAll(%s): %v", checkID, err)
-	}
-	if len(sel.Typed) != 1 {
-		t.Fatalf("SelectAll(%s): want 1 typed check, got %d", checkID, len(sel.Typed))
-	}
-	return LintTypedFile(loadFixture(t, dir), sel.Typed)
-}
-
-func TestTypedGoldenDirtyFixtures(t *testing.T) {
-	type want struct {
-		line   int
-		substr string
-	}
-	cases := []struct {
-		check string
-		want  []want
-	}{
-		{check: "unitflow", want: []want{
-			{10, `field Sample.WindowMS is suffixed ms but its comment documents "seconds" (s)`},
-			{20, `"+" mixes units: wait is in s but payloadBytes is in B`},
-			{25, `"-" mixes time scales: t is in s but sliceMS is in ms`},
-			{30, "budgetUSD is suffixed USD but is assigned a value in us"},
-			{35, "ratioS is suffixed s but stores a dimensionless ratio"},
-			{40, "totalS is suffixed s but stores a product of units (time×time)"},
-			{45, `"+=" mixes units: totalBytes is in B but extraMS is in ms`},
-			{50, "CapUSD is suffixed USD but is assigned a value in s"},
-			{58, `call to bill passes elapsedS (s) for parameter "amountUSD", which is in USD`},
-			{62, "waitUS declares its result in us but returns a value in s"},
-		}},
-		{check: "typeassert", want: []want{
-			{9, "bare type assertion v.(string) in a return statement"},
-			{13, "bare type assertion v.(int) as a call argument"},
-			{18, "bare type assertion v.(string) on the right-hand side of an assignment"},
-			{23, "bare type assertion v.(int) in an expression"},
-		}},
-		{check: "lossyconv", want: []want{
-			{6, "int(haloBytes) truncates a fractional byte count"},
-			{10, "int32(msgBytes) narrows the byte count from 64 to 32 bits"},
-			{14, "uint64(eventCount) reinterprets the signed halo/event count as unsigned"},
-			{18, "int32(sendBytes+recvBytes) narrows the byte count from 64 to 32 bits"},
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.check, func(t *testing.T) {
-			dir := filepath.Join("testdata", tc.check, "dirty")
-			got := runTypedOn(t, tc.check, dir)
-			if len(got) != len(tc.want) {
-				t.Fatalf("%s: got %d finding(s), want %d:\n%s",
-					dir, len(got), len(tc.want), renderDiags(got))
-			}
-			for i, w := range tc.want {
-				d := got[i]
-				if d.Line != w.line || d.Check != tc.check {
-					t.Errorf("finding %d: got %s:%d [%s], want line %d [%s]",
-						i, d.File, d.Line, d.Check, w.line, tc.check)
-				}
-				if !strings.Contains(d.Message, w.substr) {
-					t.Errorf("finding %d: message %q does not contain %q", i, d.Message, w.substr)
-				}
-				if d.Severity != SeverityError {
-					t.Errorf("finding %d: severity %q, want %q", i, d.Severity, SeverityError)
-				}
-			}
-		})
-	}
-}
-
-func TestTypedGoldenCleanFixtures(t *testing.T) {
-	for _, check := range []string{"unitflow", "typeassert", "lossyconv"} {
-		t.Run(check, func(t *testing.T) {
-			// Clean fixtures must survive both layers in full: a clean
-			// idiom that trips a neighboring check is still a false
-			// positive.
-			f := loadFixture(t, filepath.Join("testdata", check, "clean"))
-			if got := LintTypedFile(f, AllTyped()); len(got) != 0 {
-				t.Fatalf("typed suite: want no findings, got:\n%s", renderDiags(got))
-			}
-			if got := LintFile(&f.File, All()); len(got) != 0 {
-				t.Fatalf("syntactic suite: want no findings, got:\n%s", renderDiags(got))
-			}
-		})
-	}
-}
-
 // TestLoaderCrossPackage type-checks a synthetic two-package module
 // under testdata and verifies the loader resolved the module-internal
 // import itself: flow.Window's result must be the named type
@@ -178,72 +75,52 @@ func TestLoaderSharesDependency(t *testing.T) {
 	}
 }
 
-func TestRunTypedSkipsTestdata(t *testing.T) {
-	res, err := RunTyped([]string{"./..."}, AllTyped())
+func TestSelectAll(t *testing.T) {
+	all, err := Select(nil)
 	if err != nil {
-		t.Fatalf("RunTyped: %v", err)
+		t.Fatalf("Select(nil): %v", err)
 	}
-	if res.Files == 0 {
-		t.Fatal("RunTyped lint surface is empty; expected the package's own files")
+	if len(all) != 16 {
+		t.Errorf("Select(nil) = %d checks, want all 16", len(all))
 	}
-	for _, d := range res.Diags {
-		if strings.Contains(d.File, "testdata") {
-			t.Errorf("testdata leaked into the lint surface: %s", d)
+	for i, c := range all {
+		if i > 0 && all[i-1].ID >= c.ID {
+			t.Errorf("checks not sorted by ID: %q before %q", all[i-1].ID, c.ID)
+		}
+		set := 0
+		for _, on := range []bool{c.OnFile != nil, c.OnTypedFile != nil, c.OnFunc != nil, c.OnSurface != nil} {
+			if on {
+				set++
+			}
+		}
+		if set != 1 {
+			t.Errorf("%s sets %d run functions, want exactly 1", c.ID, set)
 		}
 	}
-}
-
-func TestRunTypedExplicitDirectory(t *testing.T) {
-	sel, err := SelectAll([]string{"typeassert"})
+	mixed, err := Select([]string{"floateq", "unitflow", "lockheld", "nilerr"})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Select(mixed): %v", err)
 	}
-	res, err := RunTyped([]string{filepath.Join("testdata", "typeassert", "dirty")}, sel.Typed)
-	if err != nil {
-		t.Fatalf("RunTyped: %v", err)
+	var scopes []string
+	for _, c := range mixed {
+		scopes = append(scopes, scopeOf(c))
 	}
-	if res.Files != 1 {
-		t.Errorf("Files = %d, want 1", res.Files)
+	if got := strings.Join(scopes, ","); got != "file,typed,surface,func" {
+		t.Errorf("mixed selection scopes = %s, want file,typed,surface,func", got)
 	}
-	if len(res.Diags) != 4 {
-		t.Errorf("got %d finding(s), want 4:\n%s", len(res.Diags), renderDiags(res.Diags))
+	if _, err := Select([]string{"nonsense"}); err == nil {
+		t.Fatal("Select must reject unknown check IDs")
 	}
 }
 
-func TestSelectAll(t *testing.T) {
-	sel, err := SelectAll(nil)
-	if err != nil {
-		t.Fatalf("SelectAll(nil): %v", err)
-	}
-	if len(sel.Syntactic) != len(All()) || len(sel.Typed) != len(AllTyped()) {
-		t.Errorf("SelectAll(nil) = %d+%d checks, want %d+%d",
-			len(sel.Syntactic), len(sel.Typed), len(All()), len(AllTyped()))
-	}
-	mixed, err := SelectAll([]string{"floateq", "unitflow"})
-	if err != nil {
-		t.Fatalf("SelectAll(mixed): %v", err)
-	}
-	if len(mixed.Syntactic) != 1 || len(mixed.Typed) != 1 {
-		t.Errorf("mixed selection = %d+%d checks, want 1+1", len(mixed.Syntactic), len(mixed.Typed))
-	}
-	if _, err := SelectAll([]string{"nonsense"}); err == nil {
-		t.Fatal("SelectAll must reject unknown check IDs")
-	}
-}
-
-// BenchmarkRunAll times all three layers over the whole repository —
-// the cost CI pays per lint run, dominated by the typed loader, which
-// RunLayers pays once and shares between the typed and interprocedural
-// layers.
+// BenchmarkRunAll times one Run of every check over the whole
+// repository — the cost CI pays per lint run, dominated by the
+// type-check, which Run pays once for every check that needs types.
 func BenchmarkRunAll(b *testing.B) {
 	pattern := []string{filepath.Join("..", "..", "...")}
-	sel, err := SelectAll(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for i := 0; i < b.N; i++ {
-		if _, err := RunLayers(pattern, sel); err != nil {
-			b.Fatalf("RunLayers: %v", err)
+		if _, err := Run(pattern, All()); err != nil {
+			b.Fatalf("Run: %v", err)
 		}
 	}
 }

@@ -454,16 +454,16 @@ var docUnitCanon = map[string]string{
 }
 
 // checkUnitFlow builds the semantic unit-flow check.
-func checkUnitFlow() TypedCheck {
+func checkUnitFlow() Check {
 	const id = "unitflow"
-	return TypedCheck{
+	return Check{
 		ID:  id,
 		Doc: "semantic unit-flow analysis: propagates s/bytes/MB-s/USD/MFLUPS tags through assignments, arithmetic, returns and calls; flags mixed-unit combinations, contradicted destinations and dimension-changing mul/div stored under an unchanged suffix",
-		Run: func(f *TypedFile) []Diagnostic {
+		OnTypedFile: func(f *TypedFile) []Diagnostic {
 			v := newFlowEnv(f)
 			var diags []Diagnostic
 			add := func(pos token.Pos, format string, args ...any) {
-				diags = append(diags, f.diag(pos, id, SeverityError, format, args...))
+				diags = append(diags, diag(f.Fset, pos, id, SeverityError, format, args...))
 			}
 
 			ast.Inspect(f.AST, func(n ast.Node) bool {

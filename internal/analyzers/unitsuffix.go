@@ -104,7 +104,7 @@ func checkUnitSuffix() Check {
 	return Check{
 		ID:  id,
 		Doc: "unit-suffix discipline: no arithmetic across conflicting unit suffixes; documented units must appear in exported field names",
-		Run: func(f *File) []Diagnostic {
+		OnFile: func(f *File) []Diagnostic {
 			var diags []Diagnostic
 
 			ast.Inspect(f.AST, func(n ast.Node) bool {
@@ -115,7 +115,7 @@ func checkUnitSuffix() Check {
 				lu, ln := operandUnit(be.X)
 				ru, rn := operandUnit(be.Y)
 				if lu != "" && ru != "" && lu != ru {
-					diags = append(diags, f.diag(be.OpPos, id, SeverityError,
+					diags = append(diags, diag(f.Fset, be.OpPos, id, SeverityError,
 						"%q mixes units: %s is in %s but %s is in %s", be.Op, ln, lu, rn, ru))
 				}
 				return true
@@ -146,7 +146,7 @@ func checkUnitSuffix() Check {
 						if !name.IsExported() || unitOf(name.Name) != "" {
 							continue
 						}
-						diags = append(diags, f.diag(name.Pos(), id, SeverityError,
+						diags = append(diags, diag(f.Fset, name.Pos(), id, SeverityError,
 							"exported field %s.%s is documented in %q but its name carries no unit suffix",
 							ts.Name.Name, name.Name, strings.TrimSpace(m[2])))
 					}

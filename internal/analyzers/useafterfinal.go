@@ -1,7 +1,6 @@
 package analyzers
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -53,13 +52,13 @@ func (s finalState) clone() finalState {
 	return out
 }
 
-func checkUseAfterFinal() FlowCheck {
-	return FlowCheck{
+func checkUseAfterFinal() Check {
+	return Check{
 		ID: "useafterfinal",
 		Doc: "method called on a handle after Close/Stop/Cancel/End on " +
 			"some path (obs spans, cluster transports, serve drain, and " +
 			"any module type with a finalizer method)",
-		Run: runUseAfterFinal,
+		OnFunc: runUseAfterFinal,
 	}
 }
 
@@ -238,7 +237,7 @@ func (a *finalAnalysis) emit(n ast.Node, format string, args ...any) {
 	if !a.report {
 		return
 	}
-	a.diags = append(a.diags, a.fn.diagNode(n, "useafterfinal", SeverityError, fmt.Sprintf(format, args...)))
+	a.diags = append(a.diags, diag(a.fn.File.Fset, n.Pos(), "useafterfinal", SeverityError, format, args...))
 }
 
 func (a *finalAnalysis) transfer(b *Block, in finalState) finalState {
